@@ -151,21 +151,25 @@ func (e *Enc) Blob(p []byte) { e.Count(len(p)); e.Raw(p) }
 // a flag plus length. Simulated stores are dominated by zero-filled
 // pages (cold fills, reads of never-written addresses), so this keeps
 // image sections proportional to the data actually written rather
-// than the footprint touched. Decode with Dec.Page.
+// than the footprint touched. Decode with Dec.PageView.
 func (e *Enc) Page(p []byte) {
-	zero := true
 	for _, b := range p {
 		if b != 0 {
-			zero = false
-			break
+			e.Bool(false)
+			e.Blob(p)
+			return
 		}
 	}
-	e.Bool(zero)
-	if zero {
-		e.Count(len(p))
-		return
-	}
-	e.Blob(p)
+	e.ZeroPage(len(p))
+}
+
+// ZeroPage appends the zero-compressed form of an n-byte all-zero
+// page, byte-identical to Page on n zero bytes. Layers that already
+// hold a page as absence encode it without materializing or scanning
+// it.
+func (e *Enc) ZeroPage(n int) {
+	e.Bool(true)
+	e.Count(n)
 }
 
 // String appends s length-prefixed.
@@ -287,54 +291,17 @@ func (d *Dec) Blob() []byte {
 	return out
 }
 
-// Page reads a payload written by Enc.Page into a fresh slice of at
-// most max bytes. A zero-compressed page allocates its length directly
-// (bounded by max, not by bytes on the wire — callers cap max at the
-// geometry's page size so a hostile flag cannot size an allocation).
-func (d *Dec) Page(max int) []byte {
+// PageView reads a payload written by Enc.Page without copying. A
+// zero-compressed page returns a nil p and its length n (at most max);
+// any other page returns its bytes aliasing the section (n == len(p)),
+// which the caller copies if it keeps them. Nothing is allocated, so
+// a hostile length cannot size an allocation either.
+func (d *Dec) PageView(max int) (p []byte, n int) {
 	if d.Bool() {
-		n := d.Count(max)
-		if d.err != nil {
-			return nil
-		}
-		return make([]byte, n)
+		return nil, d.Count(max)
 	}
-	p := d.Blob()
-	if len(p) > max {
-		d.fail("page of %d bytes exceeds %d", len(p), max)
-		return nil
-	}
-	return p
-}
-
-// PageInto reads a payload written by Enc.Page into dst without
-// allocating, returning the payload length. The length must equal
-// len(dst) exactly; zero-compressed pages clear dst in place.
-func (d *Dec) PageInto(dst []byte) int {
-	if d.Bool() {
-		n := d.Count(len(dst))
-		if d.err != nil {
-			return 0
-		}
-		if n != len(dst) {
-			d.fail("page of %d bytes into %d", n, len(dst))
-			return 0
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return n
-	}
-	n := d.Count(len(dst))
-	if d.err != nil {
-		return 0
-	}
-	if n != len(dst) {
-		d.fail("page of %d bytes into %d", n, len(dst))
-		return 0
-	}
-	d.ReadInto(dst)
-	return n
+	n = d.Count(max)
+	return d.take(n), n
 }
 
 // String reads a length-prefixed string of at most max bytes.

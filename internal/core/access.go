@@ -406,11 +406,12 @@ func (c *Controller) composeEvict(b *bank, t sim.Time, slot int, prpAddr, victim
 	// can happen now; a power failure before the completion event
 	// models the lost DMA by tearing these LBAs (see recovery.go). The
 	// device copies what it is handed, so the controller-wide scratch
-	// buffer carries every eviction without allocating.
+	// buffer carries every eviction without allocating, and a clone of
+	// an all-zero page reaches the device as mem.Zeros without a copy.
 	xferDone := c.dmaHostToDev(cmdDelivered, int64(c.cfg.PageBytes))
 	pc.DMA += xferDone - cmdDelivered
-	c.nvdimm.Store().ReadAt(prpAddr, c.evictBuf)
-	devDone, err := c.devWrite(xferDone, victimAddr, c.evictBuf, cmd.FUA)
+	data := c.nvdimm.Store().View(prpAddr, c.evictBuf)
+	devDone, err := c.devWrite(xferDone, victimAddr, data, cmd.FUA)
 	if err != nil {
 		return t, pc, err
 	}
@@ -452,7 +453,7 @@ func (c *Controller) fill(b *bank, t sim.Time, slot int, page uint64) (sim.Time,
 	// stream and the NVDIMM write pipeline TLP by TLP: in tight
 	// topology the bus transfer IS the NVDIMM write; in loose
 	// topology the DDR4 landing overlaps the PCIe stream.
-	devDone := c.devReadInto(cmdDelivered, pageAddr, c.fillBuf)
+	devDone, zero := c.devReadInto(cmdDelivered, pageAddr, c.fillBuf)
 	pc.SSD += devDone - cmdDelivered
 	xferDone := c.dmaDevToHost(devDone, int64(c.cfg.PageBytes))
 	landDone := xferDone
@@ -463,7 +464,7 @@ func (c *Controller) fill(b *bank, t sim.Time, slot int, page uint64) (sim.Time,
 		}
 	}
 	pc.DMA += landDone - devDone
-	c.nvdimm.Store().WriteAt(cacheAddr, c.fillBuf)
+	c.landFill(cacheAddr, c.fillBuf, zero)
 
 	complete := c.notifyCompletion(landDone)
 	inf := inflight{cmd: cmd, slot: slot, prpAddr: cacheAddr, done: complete}
@@ -591,23 +592,37 @@ func (c *Controller) notifyCompletion(t sim.Time) sim.Time {
 	}
 }
 
-// devReadInto performs the device read (timing and data) for a fill,
-// landing the bytes in dst — one device page per sub-read, issued in
-// parallel on the device.
-func (c *Controller) devReadInto(t sim.Time, mosAddr uint64, dst []byte) sim.Time {
+// devReadInto performs the device read (timing and data) for a fill —
+// one device page per sub-read, issued in parallel on the device. It
+// reports zero, leaving dst untouched, when every sub-page reads as
+// all zero; otherwise the whole page lands in dst.
+func (c *Controller) devReadInto(t sim.Time, mosAddr uint64, dst []byte) (sim.Time, bool) {
 	devPage := c.dev.PageBytes()
 	done := t
+	zero := true
 	for off := uint64(0); off < uint64(len(dst)); off += devPage {
-		end := off + devPage
-		if end > uint64(len(dst)) {
-			end = uint64(len(dst))
+		end := min(off+devPage, uint64(len(dst)))
+		d, z := c.dev.ReadInto(t, (mosAddr+off)/devPage, 0, dst[off:end])
+		switch {
+		case zero && !z:
+			clear(dst[:off]) // the sub-pages skipped so far were zero
+			zero = false
+		case z && !zero:
+			clear(dst[off:end])
 		}
-		d := c.dev.ReadInto(t, (mosAddr+off)/devPage, 0, dst[off:end])
-		if d > done {
-			done = d
-		}
+		done = max(done, d)
 	}
-	return done
+	return done, zero
+}
+
+// landFill writes a fill's payload into the NVDIMM cache page. A page
+// the device read as all zero lands as absence, without a copy.
+func (c *Controller) landFill(cacheAddr uint64, data []byte, zero bool) {
+	if zero {
+		c.nvdimm.Store().Zero(cacheAddr, uint64(len(data)))
+	} else {
+		c.nvdimm.Store().WriteAt(cacheAddr, data)
+	}
 }
 
 // devWrite programs one MoS page as PageBytes/devPage device pages;

@@ -321,6 +321,7 @@ type Controller struct {
 	banks      []*bank
 	cacheBytes uint64 // NVDIMM bytes used as MoS cache
 	pinnedBase uint64
+	capacity   uint64 // MoS address-space size (fixed by the archive's geometry)
 
 	lockFreeAt sim.Time // tight topology: DMA holds the shared bus
 
@@ -340,8 +341,8 @@ type Controller struct {
 
 	// Steady-state scratch: the devices copy what they are handed and
 	// the NVDIMM store copies what it reads out, so one page buffer per
-	// role serves every miss without allocating. split backs the
-	// page-splitting loop in run().
+	// role serves every miss without allocating (all-zero pages skip
+	// them entirely). split backs the page-splitting loop in run().
 	fillBuf  []byte
 	evictBuf []byte
 	split    []mem.Access
@@ -412,6 +413,7 @@ func New(cfg Config) (*Controller, error) {
 			}
 		})
 	}
+	c.capacity = c.dev.Capacity()
 	c.cacheBytes = nv.Capacity() - cfg.PinnedBytes
 	c.cacheBytes = mem.AlignDown(c.cacheBytes, cfg.PageBytes)
 	c.pinnedBase = c.cacheBytes
@@ -471,7 +473,7 @@ func New(cfg Config) (*Controller, error) {
 
 // Capacity returns the MoS address-space size exposed to the MMU —
 // the exported capacity of the ULL-Flash archive (§IV-A).
-func (c *Controller) Capacity() uint64 { return c.dev.Capacity() }
+func (c *Controller) Capacity() uint64 { return c.capacity }
 
 // PageBytes returns the MoS cache page size.
 func (c *Controller) PageBytes() uint64 { return c.cfg.PageBytes }

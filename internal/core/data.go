@@ -31,8 +31,8 @@ func (c *Controller) Write(t sim.Time, addr uint64, p []byte) (AccessResult, err
 // run is the shared timed-access loop: it serves each page-part and
 // invokes fn with the NVDIMM cache address holding that part.
 func (c *Controller) run(t sim.Time, a mem.Access, fn func(part mem.Access, cacheAddr uint64)) (AccessResult, error) {
-	if a.End() > c.Capacity() {
-		return AccessResult{}, errBeyondCapacity(a, c.Capacity())
+	if a.End() > c.capacity {
+		return AccessResult{}, errBeyondCapacity(a, c.capacity)
 	}
 	c.engine.AdvanceTo(t)
 	var res AccessResult

@@ -112,9 +112,9 @@ func (c *Controller) Recover(t sim.Time) (RecoverReport, error) {
 			case nvme.OpRead:
 				// Replay the fill: the data lands back in the cache page.
 				data := make([]byte, cmd.Length)
-				done := c.devReadInto(now, cmd.LBA, data)
+				done, zero := c.devReadInto(now, cmd.LBA, data)
 				landDone := c.nvdimm.Bulk(done, cmd.PRP, cmd.Length, mem.Write)
-				c.nvdimm.Store().WriteAt(cmd.PRP, data)
+				c.landFill(cmd.PRP, data, zero)
 				now = landDone
 			}
 			_ = b.qp.DeviceComplete(cid, 0)

@@ -8,6 +8,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"hams/internal/mem"
 )
 
@@ -24,19 +26,34 @@ func L1D64K() CacheConfig { return CacheConfig{SizeBytes: 64 * mem.KiB, Ways: 4,
 // L2_2M is the Table II shared L2.
 func L2_2M() CacheConfig { return CacheConfig{SizeBytes: 2 * mem.MiB, Ways: 8, LineBytes: 64} }
 
+// line is one way. stamp packs the valid and dirty bits above the LRU
+// tick, so a way is 16 bytes and the ways of a set sit next to each
+// other in one flat table: a lookup touches one or two host cache
+// lines and chases no pointer.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	stamp uint64 // lineValid | lineDirty | LRU tick
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	tickMask  = lineDirty - 1 // the tick counts lookups; it never reaches 2^62
+)
 
 // Cache is a set-associative write-back, write-allocate cache.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]line
+	lines []line // nsets × ways, set-major
+	ways  int
 	nsets uint64
-	tick  uint64
+	// pow2 is set when LineBytes and nsets are powers of two (every
+	// shipped configuration): the set and tag then come from shifts
+	// and a mask instead of three 64-bit divisions.
+	pow2      bool
+	lineShift int
+	setShift  int
+	tick      uint64
 
 	hits, misses int64
 }
@@ -53,11 +70,15 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nsets == 0 {
 		nsets = 1
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, nsets*uint64(cfg.Ways)),
+		ways:      cfg.Ways,
+		nsets:     nsets,
+		pow2:      bits.OnesCount64(cfg.LineBytes) == 1 && bits.OnesCount64(nsets) == 1,
+		lineShift: bits.TrailingZeros64(cfg.LineBytes),
+		setShift:  bits.TrailingZeros64(nsets),
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets}
 }
 
 // LineBytes returns the line size.
@@ -72,17 +93,26 @@ func (c *Cache) Misses() int64 { return c.misses }
 // nothing dirty was displaced).
 func (c *Cache) Lookup(addr uint64, write bool) (hit bool, victim uint64, victimDirty bool) {
 	c.tick++
-	lineAddr := addr / c.cfg.LineBytes
-	set := lineAddr % c.nsets
-	tag := lineAddr / c.nsets
-	ways := c.sets[set]
+	var set, tag uint64
+	if c.pow2 {
+		lineAddr := addr >> c.lineShift
+		set = lineAddr & (c.nsets - 1)
+		tag = lineAddr >> c.setShift
+	} else {
+		lineAddr := addr / c.cfg.LineBytes
+		set = lineAddr % c.nsets
+		tag = lineAddr / c.nsets
+	}
+	base := int(set) * c.ways
+	ways := c.lines[base : base+c.ways : base+c.ways]
+	var dirty uint64
+	if write {
+		dirty = lineDirty
+	}
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag && ways[i].stamp&lineValid != 0 {
 			c.hits++
-			ways[i].lru = c.tick
-			if write {
-				ways[i].dirty = true
-			}
+			ways[i].stamp = ways[i].stamp&lineDirty | dirty | lineValid | c.tick
 			return true, 0, false
 		}
 	}
@@ -90,34 +120,32 @@ func (c *Cache) Lookup(addr uint64, write bool) (hit bool, victim uint64, victim
 	// Choose victim: first invalid, else least recently used.
 	vi := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].stamp&lineValid == 0 {
 			vi = i
 			break
 		}
-		if ways[i].lru < ways[vi].lru {
+		if ways[i].stamp&tickMask < ways[vi].stamp&tickMask {
 			vi = i
 		}
 	}
-	v := ways[vi]
-	if v.valid && v.dirty {
+	if v := ways[vi]; v.stamp&(lineValid|lineDirty) == lineValid|lineDirty {
 		victim = (v.tag*c.nsets + set) * c.cfg.LineBytes
 		victimDirty = true
 	}
-	ways[vi] = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	ways[vi] = line{tag: tag, stamp: lineValid | dirty | c.tick}
 	return false, victim, victimDirty
 }
 
 // Flush invalidates everything, returning dirty line addresses.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.dirty {
-				dirty = append(dirty, (l.tag*c.nsets+uint64(s))*c.cfg.LineBytes)
-			}
-			*l = line{}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.stamp&(lineValid|lineDirty) == lineValid|lineDirty {
+			set := uint64(i / c.ways)
+			dirty = append(dirty, (l.tag*c.nsets+set)*c.cfg.LineBytes)
 		}
+		*l = line{}
 	}
 	return dirty
 }

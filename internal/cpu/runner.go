@@ -13,6 +13,8 @@ type Step struct {
 }
 
 // Stream feeds one core. Next returns false when the thread finishes.
+// A step's Acc slice may be reused by the stream's next call to Next:
+// a consumer that keeps a step past that call must copy its accesses.
 type Stream interface {
 	Next() (Step, bool)
 }

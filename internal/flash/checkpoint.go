@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"hams/internal/checkpoint"
+	"hams/internal/mem"
 	"hams/internal/sim"
 )
 
@@ -20,6 +21,8 @@ import (
 // dead (nothing reads a page the translation layer has invalidated)
 // and are elided as empty blobs. On a write-heavy out-of-place
 // workload this shrinks the image by the whole overwrite history.
+// A live page whose payload is elided in memory (all zero) encodes
+// as a full zero page, exactly as a materialized one would.
 func (a *Array) SaveState(enc *checkpoint.Enc, live func(PPN) bool) {
 	enc.Count(len(a.dies))
 	for _, d := range a.dies {
@@ -29,19 +32,19 @@ func (a *Array) SaveState(enc *checkpoint.Enc, live func(PPN) bool) {
 	for _, c := range a.chans {
 		c.SaveState(enc)
 	}
-	ppns := make([]uint64, 0, len(a.data))
-	for p := range a.data {
-		ppns = append(ppns, uint64(p))
-	}
-	sort.Slice(ppns, func(i, j int) bool { return ppns[i] < ppns[j] })
+	ppns := a.writtenPPNs()
 	enc.Count(len(ppns))
 	for _, p := range ppns {
 		enc.U64(p)
-		if live != nil && !live(PPN(p)) {
-			enc.Page(nil)
-			continue
+		d, ok := a.data[PPN(p)]
+		switch {
+		case live != nil && !live(PPN(p)):
+			enc.ZeroPage(0)
+		case !ok:
+			enc.ZeroPage(int(a.Geo.PageBytes))
+		default:
+			enc.Page(d)
 		}
-		enc.Page(a.data[PPN(p)])
 	}
 	blocks := make([]uint64, 0, len(a.erases))
 	for b := range a.erases {
@@ -63,6 +66,8 @@ func (a *Array) SaveState(enc *checkpoint.Enc, live func(PPN) bool) {
 
 // RestoreState overlays the array. Die/channel counts are structural;
 // page payload lengths are validated against the geometry's page size.
+// All-zero payloads (and stale pages) are held elided, as a live array
+// holds a zero program.
 func (a *Array) RestoreState(d *checkpoint.Dec) error {
 	if err := restoreCount(d, "dies", len(a.dies)); err != nil {
 		return err
@@ -82,21 +87,33 @@ func (a *Array) RestoreState(d *checkpoint.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	a.data = make(map[PPN][]byte, npages)
+	a.written, a.nwritten = nil, 0
+	a.data = make(map[PPN][]byte)
 	for i := 0; i < npages; i++ {
 		p := d.U64()
-		pg := d.Page(int(a.Geo.PageBytes))
+		pg, n := d.PageView(int(a.Geo.PageBytes))
 		if err := d.Err(); err != nil {
 			return err
 		}
 		// Programs always store a full page; an empty payload is a
 		// stale page whose content the encoder elided (presence still
 		// gates re-programming). Anything else is a corrupt image.
-		if len(pg) != 0 && uint64(len(pg)) != a.Geo.PageBytes {
+		if n != 0 && uint64(n) != a.Geo.PageBytes {
 			return fmt.Errorf("%w: page %d holds %d bytes (page is %d)",
-				checkpoint.ErrCorrupt, p, len(pg), a.Geo.PageBytes)
+				checkpoint.ErrCorrupt, p, n, a.Geo.PageBytes)
 		}
-		a.data[PPN(p)] = pg
+		if p >= a.Geo.TotalPages() {
+			return fmt.Errorf("%w: page %d outside the geometry's %d pages",
+				checkpoint.ErrCorrupt, p, a.Geo.TotalPages())
+		}
+		if a.isWritten(PPN(p)) {
+			delete(a.data, PPN(p)) // a repeated page: the last one wins
+		} else {
+			a.setWritten(PPN(p))
+		}
+		if !mem.IsZero(pg) {
+			a.data[PPN(p)] = append([]byte(nil), pg...)
+		}
 	}
 	nblocks := d.CountSized(16)
 	if err := d.Err(); err != nil {

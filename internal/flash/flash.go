@@ -8,7 +8,9 @@ package flash
 
 import (
 	"fmt"
+	"math/bits"
 
+	"hams/internal/mem"
 	"hams/internal/sim"
 )
 
@@ -147,14 +149,81 @@ type Array struct {
 
 	dies  []sim.Time // next-free per die
 	chans []*sim.Resource
-	// data holds the content of every programmed page. A page is
-	// "written" (NAND protocol state) exactly when it has a data entry;
-	// erase removes the entry and recycles its buffer through freeBufs
-	// so steady-state program/erase cycles stop allocating.
+	// written is the NAND protocol state: a page is "written" exactly
+	// when its bit is set, from program until the erase of its block.
+	// It is a lazily allocated two-level bitset over PPNs (see
+	// writtenChunkBits), so the per-program state costs one bit and no
+	// pointer for the garbage collector to trace.
+	written  [][]uint64
+	nwritten int
+	// data holds the content of every written page that is not all
+	// zero. A written page without an entry is elided: it reads as all
+	// zero (a zero program, or a restored stale page) and owns no
+	// buffer. Erase recycles buffers through freeBufs so steady-state
+	// program/erase cycles stop allocating.
 	data     map[PPN][]byte
 	freeBufs [][]byte
 	erases   map[uint64]int64 // blockID -> erase count (wear)
 	stats    Stats
+}
+
+// writtenChunkBits sizes one chunk of the written bitset: 2^15 PPNs,
+// 4 KiB of bits. PPNs put the block index above the page and the
+// plane, so with the ULL geometry a chunk is one block index across
+// all 128 planes, and the FTL's per-plane sequential allocation fills
+// chunks densely.
+const (
+	writtenChunkBits  = 15
+	writtenChunkWords = 1 << writtenChunkBits / 64
+)
+
+func (a *Array) isWritten(p PPN) bool {
+	ci := uint64(p) >> writtenChunkBits
+	if ci >= uint64(len(a.written)) || a.written[ci] == nil {
+		return false
+	}
+	w := uint64(p) & (1<<writtenChunkBits - 1)
+	return a.written[ci][w/64]&(1<<(w%64)) != 0
+}
+
+// setWritten marks p written; p must not be written already.
+func (a *Array) setWritten(p PPN) {
+	ci := uint64(p) >> writtenChunkBits
+	for uint64(len(a.written)) <= ci {
+		a.written = append(a.written, nil)
+	}
+	if a.written[ci] == nil {
+		a.written[ci] = make([]uint64, writtenChunkWords)
+	}
+	w := uint64(p) & (1<<writtenChunkBits - 1)
+	a.written[ci][w/64] |= 1 << (w % 64)
+	a.nwritten++
+}
+
+// clearWritten marks p erased, reporting whether it was written.
+func (a *Array) clearWritten(p PPN) bool {
+	if !a.isWritten(p) {
+		return false
+	}
+	w := uint64(p) & (1<<writtenChunkBits - 1)
+	a.written[uint64(p)>>writtenChunkBits][w/64] &^= 1 << (w % 64)
+	a.nwritten--
+	return true
+}
+
+// writtenPPNs returns every written PPN in ascending order.
+func (a *Array) writtenPPNs() []uint64 {
+	out := make([]uint64, 0, a.nwritten)
+	for ci, ch := range a.written {
+		for wi, w := range ch {
+			for w != 0 {
+				b := bits.TrailingZeros64(w)
+				w &= w - 1
+				out = append(out, uint64(ci)<<writtenChunkBits|uint64(wi*64+b))
+			}
+		}
+	}
+	return out
 }
 
 // New builds an array from a geometry and timing.
@@ -181,10 +250,7 @@ func (a *Array) Stats() Stats { return a.stats }
 func (a *Array) ResetStats() { a.stats = Stats{} }
 
 // Written reports whether ppn holds programmed data.
-func (a *Array) Written(p PPN) bool {
-	_, ok := a.data[p]
-	return ok
-}
+func (a *Array) Written(p PPN) bool { return a.isWritten(p) }
 
 // EraseCount returns the wear of the block containing ppn.
 func (a *Array) EraseCount(p PPN) int64 {
@@ -220,35 +286,34 @@ func (a *Array) readTiming(t sim.Time, ad Addr, n int64) sim.Time {
 
 // ReadPage performs a flash read of up to bytes (0 = full page) from
 // ppn arriving at t: the die is busy for TRead, then the data crosses
-// the channel bus. It returns the completion time and the page data.
+// the channel bus. It returns the completion time and a full page of
+// data.
 func (a *Array) ReadPage(t sim.Time, p PPN, bytes uint32) (sim.Time, []byte) {
-	done := a.readTiming(t, a.Geo.Decompose(p), a.xferBytes(bytes))
-	var buf []byte
-	if d, ok := a.data[p]; ok {
-		buf = make([]byte, len(d))
-		copy(buf, d)
-	} else {
-		buf = make([]byte, a.Geo.PageBytes)
-	}
+	buf := make([]byte, a.Geo.PageBytes)
+	done, _ := a.ReadPageInto(t, p, bytes, buf)
 	return done, buf
 }
 
-// ReadPageInto is the allocation-free ReadPage: the page content lands
-// in dst (zero-filled past the stored data; dst longer than a page is
-// zero-filled to the page size). A nil dst charges timing only.
-func (a *Array) ReadPageInto(t sim.Time, p PPN, bytes uint32, dst []byte) sim.Time {
+// ReadPageInto is the allocation-free ReadPage. When the page reads as
+// all zero (unprogrammed, or an elided payload) it reports zero and
+// leaves dst untouched: the caller knows the content without a copy.
+// Otherwise the page lands in dst (dst longer than a page is filled to
+// the page size). A nil dst charges timing only, without looking the
+// page up, and reports zero since dst is left untouched.
+func (a *Array) ReadPageInto(t sim.Time, p PPN, bytes uint32, dst []byte) (sim.Time, bool) {
 	done := a.readTiming(t, a.Geo.Decompose(p), a.xferBytes(bytes))
 	if dst == nil {
-		return done
+		return done, true
+	}
+	d, ok := a.data[p]
+	if !ok {
+		return done, true
 	}
 	if uint64(len(dst)) > a.Geo.PageBytes {
 		dst = dst[:a.Geo.PageBytes]
 	}
-	n := copy(dst, a.data[p])
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return done
+	clear(dst[copy(dst, d):])
+	return done, false
 }
 
 // ErrProgramWritten is returned when programming a non-erased page,
@@ -259,7 +324,7 @@ var ErrProgramWritten = fmt.Errorf("flash: program to non-erased page")
 // the channel bus, then the die is busy for TProg. Programming a page
 // that has not been erased since its last program returns an error.
 func (a *Array) ProgramPage(t sim.Time, p PPN, data []byte) (sim.Time, error) {
-	if _, ok := a.data[p]; ok {
+	if a.isWritten(p) {
 		return t, ErrProgramWritten
 	}
 	ad := a.Geo.Decompose(p)
@@ -276,6 +341,13 @@ func (a *Array) ProgramPage(t sim.Time, p PPN, data []byte) (sim.Time, error) {
 	a.stats.Programs++
 	a.stats.BytesIn += n
 
+	if uint64(len(data)) > a.Geo.PageBytes {
+		data = data[:a.Geo.PageBytes]
+	}
+	a.setWritten(p)
+	if mem.IsZero(data) {
+		return done, nil // payload elided
+	}
 	var stored []byte
 	if k := len(a.freeBufs); k > 0 {
 		stored = a.freeBufs[k-1]
@@ -283,10 +355,7 @@ func (a *Array) ProgramPage(t sim.Time, p PPN, data []byte) (sim.Time, error) {
 	} else {
 		stored = make([]byte, a.Geo.PageBytes)
 	}
-	m := copy(stored, data)
-	for i := m; i < len(stored); i++ {
-		stored[i] = 0
-	}
+	clear(stored[copy(stored, data):])
 	a.data[p] = stored
 	return done, nil
 }
@@ -311,12 +380,11 @@ func (a *Array) EraseBlock(t sim.Time, p PPN) sim.Time {
 	for pg := 0; pg < a.Geo.PagesPerBlk; pg++ {
 		base.Page = pg
 		ppn := a.Geo.Compose(base)
+		if !a.clearWritten(ppn) {
+			continue
+		}
 		if d, ok := a.data[ppn]; ok {
-			// Restored stale pages carry an elided (empty) payload —
-			// only full-size buffers are safe to recycle into programs.
-			if uint64(len(d)) == a.Geo.PageBytes {
-				a.freeBufs = append(a.freeBufs, d)
-			}
+			a.freeBufs = append(a.freeBufs, d)
 			delete(a.data, ppn)
 		}
 	}
@@ -326,15 +394,12 @@ func (a *Array) EraseBlock(t sim.Time, p PPN) sim.Time {
 // DieNextFree exposes die occupancy (for queue-depth experiments).
 func (a *Array) DieNextFree(i int) sim.Time { return a.dies[i] }
 
-// PeekPage returns the stored page data without any timing effect.
-// Used by functional (non-timed) inspection paths.
+// PeekPage returns a full page of stored data without any timing
+// effect. Used by functional (non-timed) inspection paths.
 func (a *Array) PeekPage(p PPN) []byte {
-	if d, ok := a.data[p]; ok {
-		buf := make([]byte, len(d))
-		copy(buf, d)
-		return buf
-	}
-	return make([]byte, a.Geo.PageBytes)
+	buf := make([]byte, a.Geo.PageBytes)
+	copy(buf, a.data[p])
+	return buf
 }
 
 func (a *Array) String() string {

@@ -150,7 +150,12 @@ func (f *FTL) RestoreState(d *checkpoint.Dec) error {
 		return err
 	}
 	for i := range f.valid {
-		f.valid[i] = int(d.I64())
+		v := d.I64()
+		if v < 0 || v > int64(f.geo.PagesPerBlk) {
+			return fmt.Errorf("%w: block %d holds %d valid pages (block is %d)",
+				checkpoint.ErrCorrupt, i, v, f.geo.PagesPerBlk)
+		}
+		f.valid[i] = int32(v)
 	}
 	f.planeRR = int(d.I64())
 	f.stats.HostReads = d.I64()

@@ -111,8 +111,8 @@ type FTL struct {
 	recycled   [][]int    // per plane: erased blocks, FIFO order
 	freeBit    [][]uint64 // per plane: 1 = free
 	active     []activeBlock
-	valid      []int // per global block: valid page count
-	planeRR    int   // round-robin allocation cursor
+	valid      []int32 // per global block: valid page count
+	planeRR    int     // round-robin allocation cursor
 
 	gcBuf []byte // relocation scratch (one page)
 
@@ -130,7 +130,7 @@ func New(arr *flash.Array, cfg Config) *FTL {
 		recycled:   make([][]int, g.Planes()),
 		freeBit:    make([][]uint64, g.Planes()),
 		active:     make([]activeBlock, g.Planes()),
-		valid:      make([]int, g.Blocks()),
+		valid:      make([]int32, g.Blocks()),
 		gcBuf:      make([]byte, g.PageBytes),
 	}
 	words := (g.BlocksPerPln + 63) / 64
@@ -305,26 +305,24 @@ func (f *FTL) Write(t sim.Time, lba uint64, data []byte) (sim.Time, error) {
 // striping of sequential preconditioning.
 func (f *FTL) Read(t sim.Time, lba uint64, bytes uint32) (sim.Time, []byte) {
 	buf := make([]byte, f.geo.PageBytes)
-	done := f.ReadInto(t, lba, bytes, buf)
+	done, _ := f.ReadInto(t, lba, bytes, buf)
 	return done, buf
 }
 
-// ReadInto is the allocation-free Read: the page content lands in dst
-// (zero-filled past the stored data). A nil dst charges timing only.
-func (f *FTL) ReadInto(t sim.Time, lba uint64, bytes uint32, dst []byte) sim.Time {
+// ReadInto is the allocation-free Read, with flash.Array.ReadPageInto's
+// contract: it reports zero, leaving dst untouched, when the page
+// reads as all zero (unmapped, or a zero program); otherwise the page
+// lands in dst. A nil dst charges timing only.
+func (f *FTL) ReadInto(t sim.Time, lba uint64, bytes uint32, dst []byte) (sim.Time, bool) {
 	ppn, ok := f.l2p.get(lba)
 	if !ok {
 		f.stats.UnmappedRead++
 		pseudo := flash.PPN(lba % f.geo.TotalPages())
-		done := f.arr.ReadPageInto(t, pseudo, bytes, nil)
-		for i := range dst {
-			dst[i] = 0
-		}
-		return done
+		done, _ := f.arr.ReadPageInto(t, pseudo, bytes, nil)
+		return done, true
 	}
-	done := f.arr.ReadPageInto(t, flash.PPN(ppn), bytes, dst)
 	f.stats.HostReads++
-	return done
+	return f.arr.ReadPageInto(t, flash.PPN(ppn), bytes, dst)
 }
 
 // Peek returns the data stored at lba without any timing effect.
@@ -368,12 +366,16 @@ func (f *FTL) collect(t sim.Time, plane int) (sim.Time, error) {
 			if !live {
 				continue
 			}
-			rdDone := f.arr.ReadPageInto(now, ppn, 0, f.gcBuf)
+			rdDone, zero := f.arr.ReadPageInto(now, ppn, 0, f.gcBuf)
+			data := f.gcBuf
+			if zero {
+				data = nil // relocates as a zero program
+			}
 			dst, ok := f.allocate(plane)
 			if !ok {
 				return now, ErrFull
 			}
-			progDone, err := f.arr.ProgramPage(rdDone, dst, f.gcBuf)
+			progDone, err := f.arr.ProgramPage(rdDone, dst, data)
 			if err != nil {
 				return now, fmt.Errorf("ftl gc: %w", err)
 			}
@@ -405,7 +407,7 @@ func (f *FTL) pickVictim(plane int) int {
 		if b == act || f.isFree(plane, b) {
 			continue
 		}
-		v := f.valid[f.blockIndex(plane, b)]
+		v := int(f.valid[f.blockIndex(plane, b)])
 		if v < bestValid {
 			best, bestValid = b, v
 		}

@@ -1,16 +1,26 @@
 package mem
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
+
+// touched returns a store whose first span bytes are resident: they
+// hold nonzero data, since all-zero frames are never allocated.
+func touched(span int) *SparseStore {
+	s := NewSparseStore()
+	s.WriteAt(0, bytes.Repeat([]byte{0xA5}, span))
+	return s
+}
 
 // BenchmarkSparseStoreWrite measures 64-byte stores striding across a
 // 64 MiB resident set — the shape of cache-line traffic against the
-// NVDIMM store. Frames are pre-touched so the loop times the radix
-// lookup and copy, not lazy allocation.
+// NVDIMM store. Frames are pre-touched with data so the loop times the
+// radix lookup and copy, not lazy allocation.
 func BenchmarkSparseStoreWrite(b *testing.B) {
 	const span = 64 * MiB
-	s := NewSparseStore()
-	s.Zero(0, span)
-	var buf [64]byte
+	s := touched(span)
+	buf := [64]byte{1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,9 +32,8 @@ func BenchmarkSparseStoreWrite(b *testing.B) {
 // BenchmarkSparseStoreRead is the load-side counterpart.
 func BenchmarkSparseStoreRead(b *testing.B) {
 	const span = 64 * MiB
-	s := NewSparseStore()
-	s.Zero(0, span)
-	var buf [64]byte
+	s := touched(span)
+	buf := [64]byte{1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,9 +46,8 @@ func BenchmarkSparseStoreRead(b *testing.B) {
 // and writeback payload path).
 func BenchmarkSparseStorePageCopy(b *testing.B) {
 	const span = 64 * MiB
-	s := NewSparseStore()
-	s.Zero(0, span)
-	page := make([]byte, 128*KiB)
+	s := touched(span)
+	page := bytes.Repeat([]byte{7}, 128*KiB)
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,9 +61,8 @@ func BenchmarkSparseStorePageCopy(b *testing.B) {
 // TestSparseStoreZeroAllocs pins the resident-set access contract:
 // reads and writes to already-touched frames allocate nothing.
 func TestSparseStoreZeroAllocs(t *testing.T) {
-	s := NewSparseStore()
-	s.Zero(0, 4*MiB)
-	var buf [64]byte
+	s := touched(4 * MiB)
+	buf := [64]byte{1}
 	var addr uint64
 	avg := testing.AllocsPerRun(200, func() {
 		s.WriteAt(addr%(4*MiB), buf[:])

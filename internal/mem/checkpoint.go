@@ -14,8 +14,9 @@ const maxRestoredFrames = 1 << 20
 // SaveState serializes the resident frame set: frame count, then
 // (fid, 4 KiB payload) pairs in ascending fid order — deterministic by
 // construction because the radix table iterates in index order.
-// Payloads go through Enc.Page, so the all-zero frames cold fills
-// leave behind cost a flag on the wire instead of 4 KiB.
+// Payloads go through Enc.Page; resident frames are nonzero, and
+// images from before zero pages were held as absence compress their
+// all-zero frames to a flag on the wire.
 func (s *SparseStore) SaveState(enc *checkpoint.Enc) {
 	enc.Count(s.n)
 	for ci, ch := range s.chunks {
@@ -33,6 +34,8 @@ func (s *SparseStore) SaveState(enc *checkpoint.Enc) {
 }
 
 // RestoreState replaces the store's contents with the image's frames.
+// All-zero frames are elided, as a live store holds them, so a
+// restored store is resident in exactly the frames its source was.
 // The frame count is bounded by the bytes remaining at the minimum
 // wire cost of a frame (8-byte fid + zero-compressed page) and by
 // maxRestoredFrames, so no unvalidated count sizes an allocation.
@@ -57,12 +60,17 @@ func (s *SparseStore) RestoreState(d *checkpoint.Dec) error {
 		if fid >= 1<<28 {
 			return fmt.Errorf("%w: frame id %d exceeds limit", checkpoint.ErrCorrupt, fid)
 		}
-		// PageInto decodes straight into the frame — restore of a
-		// multi-GB store is allocation-bound, so no staging buffer.
-		d.PageInto(s.ensureFrame(fid)[:])
+		p, size := d.PageView(frameSize)
 		if err := d.Err(); err != nil {
 			return err
 		}
+		if size != frameSize {
+			return fmt.Errorf("%w: frame %d holds %d bytes (frame is %d)", checkpoint.ErrCorrupt, fid, size, frameSize)
+		}
+		if p == nil {
+			p = Zeros(frameSize)
+		}
+		s.WriteAt(fid*frameSize, p)
 	}
 	return d.Err()
 }

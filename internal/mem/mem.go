@@ -104,3 +104,17 @@ func AppendSplit(dst []Access, a Access, pageSize uint64) []Access {
 	}
 	return dst
 }
+
+// AppendDoubling appends v to s, doubling the capacity when s is full.
+// Past 256 elements append grows a slice by only 1.25x, so a table
+// built one entry at a time to n entries allocates about 5n and leaves
+// 4n of garbage; doubling keeps the total near 2n. The simulator's
+// slot tables grow this way on every fresh platform.
+func AppendDoubling[E any](s []E, v E) []E {
+	if len(s) == cap(s) {
+		t := make([]E, len(s), max(2*len(s), 64))
+		copy(t, s)
+		s = t
+	}
+	return append(s, v)
+}

@@ -113,9 +113,9 @@ func (l *PageLRU) InsertFront(page uint64) int32 {
 		l.free = l.free[:k-1]
 	} else {
 		slot = int32(len(l.pages))
-		l.pages = append(l.pages, 0)
-		l.prev = append(l.prev, 0)
-		l.next = append(l.next, 0)
+		l.pages = AppendDoubling(l.pages, 0)
+		l.prev = AppendDoubling(l.prev, 0)
+		l.next = AppendDoubling(l.next, 0)
 	}
 	l.pages[slot] = page
 	l.pushFront(slot)

@@ -246,7 +246,7 @@ func (m *MMF) fault(t sim.Time, page uint64, addr uint64) sim.Time {
 	// fetched in parallel on the device and pipelined on the link.
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		d := m.dev.ReadInto(now, page+uint64(i), 0, nil)
+		d, _ := m.dev.ReadInto(now, page+uint64(i), 0, nil)
 		d = m.link.ToHost(d, int64(m.cfg.OSPageBytes))
 		d = m.dramC.Bulk(d, (page+uint64(i))*m.cfg.OSPageBytes, uint32(m.cfg.OSPageBytes), mem.Write)
 		if d > last {

@@ -251,7 +251,7 @@ func (p *flatflashPlatform) mmioAccess(t sim.Time, a mem.Access) sim.Time {
 	lba := a.Addr / p.dev.PageBytes()
 	var devDone sim.Time
 	if a.Op == mem.Read {
-		devDone = p.dev.ReadInto(t, lba, 64, nil)
+		devDone, _ = p.dev.ReadInto(t, lba, 64, nil)
 	} else {
 		devDone, _ = p.dev.Write(t, lba, zeroLine[:], false)
 	}
@@ -279,7 +279,7 @@ func (p *flatflashPlatform) Access(t sim.Time, a mem.Access) (cpu.MemResult, err
 	if p.cache.shouldPromote(a.Addr) {
 		// Migrate the hot page into host DRAM (background copy).
 		pageAddr := mem.AlignDown(a.Addr, p.cache.pageBytes)
-		d := p.dev.ReadInto(done, pageAddr/p.cache.pageBytes, 0, nil)
+		d, _ := p.dev.ReadInto(done, pageAddr/p.cache.pageBytes, 0, nil)
 		land := p.cache.d.Bulk(d, pageAddr, uint32(p.cache.pageBytes), mem.Write)
 		if victim, dirty := p.cache.insert(pageAddr/p.cache.pageBytes, a.Op == mem.Write); dirty {
 			// FlatFlash cannot guarantee persistency for host-cached
@@ -337,7 +337,7 @@ func (p *nvdimmCPlatform) Access(t sim.Time, a mem.Access) (cpu.MemResult, error
 	}
 	// Miss: wait for the next refresh window, then migrate.
 	window := ((t + p.tREFI - 1) / p.tREFI) * p.tREFI
-	devDone := p.dev.ReadInto(window, a.Addr/p.dev.PageBytes(), 0, nil)
+	devDone, _ := p.dev.ReadInto(window, a.Addr/p.dev.PageBytes(), 0, nil)
 	migDone := devDone + p.migLat
 	if victim, dirty := p.cache.insert(a.Addr/p.cache.pageBytes, a.Op == mem.Write); dirty {
 		p.dev.Write(migDone, victim*p.cache.pageBytes/p.dev.PageBytes(), zeroPage4K[:p.cache.pageBytes], false)
@@ -385,7 +385,7 @@ func (p *ullDirectPlatform) Access(t sim.Time, a mem.Access) (cpu.MemResult, err
 	lba := a.Addr / p.dev.PageBytes()
 	var done sim.Time
 	if a.Op == mem.Read {
-		done = p.dev.ReadInto(t, lba, 0, nil)
+		done, _ = p.dev.ReadInto(t, lba, 0, nil)
 	} else {
 		done, _ = p.dev.Write(t, lba, zeroLine[:], false)
 	}

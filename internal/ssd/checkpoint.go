@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hams/internal/checkpoint"
+	"hams/internal/mem"
 )
 
 // SaveState serializes the device: the flash array and FTL, the HIL
@@ -19,12 +20,17 @@ func (d *Device) SaveState(enc *checkpoint.Enc) {
 	enc.Bool(d.buf != nil)
 	if d.buf != nil {
 		d.buf.SaveState(enc)
-		enc.Count(len(d.bufData))
-		for i := range d.bufData {
+		enc.Count(len(d.slots))
+		for i, s := range d.slots {
 			// Page-compressed: a read-mostly buffer is dominated by the
-			// zero pages that reads of never-written LBAs return.
-			enc.Page(d.bufData[i][:d.bufLen[i]])
-			enc.Bool(d.bufDirty[i])
+			// zero pages that reads of never-written LBAs return, and
+			// those slots already hold them as absence.
+			if p := d.payload(int32(i)); mem.IsZero(p) {
+				enc.ZeroPage(len(p))
+			} else {
+				enc.Page(p)
+			}
+			enc.Bool(s.dirty)
 		}
 	}
 	enc.I64(d.stats.Reads)
@@ -40,7 +46,8 @@ func (d *Device) SaveState(enc *checkpoint.Enc) {
 
 // RestoreState overlays the device. Buffer presence is structural
 // (BufferBytes in the config); slot payloads are validated against the
-// page size.
+// page size, and all-zero ones restore as buffer-less slots, as a live
+// device holds them.
 func (d *Device) RestoreState(dec *checkpoint.Dec) error {
 	if err := d.arr.RestoreState(dec); err != nil {
 		return err
@@ -70,26 +77,18 @@ func (d *Device) RestoreState(dec *checkpoint.Dec) error {
 			return err
 		}
 		pageBytes := int(d.cfg.Geometry.PageBytes)
-		d.bufData = d.bufData[:0]
-		d.bufLen = d.bufLen[:0]
-		d.bufDirty = d.bufDirty[:0]
+		d.slots = make([]bufSlot, slots)
+		d.pages, d.spare = nil, nil
 		for i := 0; i < slots; i++ {
-			p := dec.Page(pageBytes)
-			dirty := dec.Bool()
+			p, n := dec.PageView(pageBytes)
+			d.slots[i].dirty = dec.Bool()
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			// Dec.Page already returns a fresh buffer; adopt it directly
-			// (restore is allocation-bound) and pad only short payloads
-			// up to the full slot size writes expect.
-			data := p
-			if len(p) != pageBytes {
-				data = make([]byte, pageBytes)
-				copy(data, p)
+			if p == nil {
+				p = mem.Zeros(n)
 			}
-			d.bufData = append(d.bufData, data)
-			d.bufLen = append(d.bufLen, len(p))
-			d.bufDirty = append(d.bufDirty, dirty)
+			d.setPayload(int32(i), p)
 		}
 		if slots != d.buf.Slots() {
 			return fmt.Errorf("%w: %d buffer payloads for %d LRU slots", checkpoint.ErrCorrupt, slots, d.buf.Slots())

@@ -119,22 +119,34 @@ type Stats struct {
 // (mem.PageLRU) with slot-owned page buffers: inserts copy into the
 // slot's buffer and evictions recycle it, so steady-state buffer
 // traffic allocates nothing. Entries store variable-length data (a
-// 64 B write replaces whatever the slot held), tracked in bufLen.
+// 64 B write replaces whatever the slot held), tracked in bufSlot.n.
+// An all-zero entry owns no buffer (bufSlot.page 0) and reads through
+// payload as mem.Zeros; its buffer waits in spare for the next slot
+// that takes nonzero data.
 type Device struct {
 	cfg Config
 	arr *flash.Array
 	ftl *ftl.FTL
 
-	hil      *sim.Pool
-	bufBus   *sim.Resource
-	buf      *mem.PageLRU
-	bufData  [][]byte // slot -> owned page-capacity buffer
-	bufLen   []int    // slot -> stored byte count
-	bufDirty []bool
-	bufCap   int    // entries
-	scratch  []byte // miss-path staging (one page)
+	hil     *sim.Pool
+	bufBus  *sim.Resource
+	buf     *mem.PageLRU
+	slots   []bufSlot // slot -> entry
+	pages   [][]byte  // page buffers, owned by a slot or waiting in spare
+	spare   []int32   // indices into pages of buffers no slot owns
+	bufCap  int       // entries
+	scratch []byte    // miss-path staging (one page)
 
 	stats Stats
+}
+
+// bufSlot is one internal-buffer entry. It holds no pointers, so the
+// slot table (one entry per buffered page) costs the garbage collector
+// nothing to trace.
+type bufSlot struct {
+	page  int32 // 1 + index into pages of the owned buffer; 0 = all zero
+	n     int32 // stored byte count
+	dirty bool
 }
 
 // New builds a device from cfg.
@@ -198,22 +210,60 @@ func (d *Device) bufAccess(t sim.Time, bytes int64) sim.Time {
 	return done
 }
 
+// payload returns the bytes a buffer slot holds: a view of its buffer,
+// or mem.Zeros for an all-zero entry. Every reader of slot contents
+// goes through it; the result must not be written.
+func (d *Device) payload(slot int32) []byte {
+	s := d.slots[slot]
+	if s.page == 0 {
+		return mem.Zeros(int(s.n))
+	}
+	return d.pages[s.page-1][:s.n]
+}
+
+// setPayload stores data (truncated to a page) in a buffer slot. An
+// all-zero payload detaches the slot's buffer instead of copying.
+func (d *Device) setPayload(slot int32, data []byte) {
+	if uint64(len(data)) > d.cfg.Geometry.PageBytes {
+		data = data[:d.cfg.Geometry.PageBytes]
+	}
+	s := &d.slots[slot]
+	s.n = int32(len(data))
+	if mem.IsZero(data) {
+		if s.page != 0 {
+			d.spare = append(d.spare, s.page-1)
+			s.page = 0
+		}
+		return
+	}
+	if s.page == 0 {
+		if k := len(d.spare); k > 0 {
+			s.page = d.spare[k-1] + 1
+			d.spare = d.spare[:k-1]
+		} else {
+			d.pages = append(d.pages, make([]byte, d.cfg.Geometry.PageBytes))
+			s.page = int32(len(d.pages))
+		}
+	}
+	copy(d.pages[s.page-1], data)
+}
+
 // bufInsert places a page in the internal DRAM, evicting the LRU dirty
 // page to flash when full. Returns the time the insert completes (the
 // eviction program runs in the background on the flash resources).
 func (d *Device) bufInsert(t sim.Time, lba uint64, data []byte, dirty bool) sim.Time {
 	if slot, ok := d.buf.Get(lba); ok {
-		d.bufLen[slot] = copy(d.bufData[slot], data)
-		d.bufDirty[slot] = d.bufDirty[slot] || dirty
+		d.setPayload(slot, data)
+		d.slots[slot].dirty = d.slots[slot].dirty || dirty
 		d.buf.MoveToFront(slot)
 		return d.bufAccess(t, int64(len(data)))
 	}
 	for d.buf.Len() >= d.bufCap {
 		vlba, vslot := d.buf.RemoveBack()
 		d.stats.BufferEvicts++
-		if d.bufDirty[vslot] {
+		if d.slots[vslot].dirty {
 			// Background write-back: occupies flash, does not gate t.
-			if _, err := d.ftl.Write(t, vlba, d.bufData[vslot][:d.bufLen[vslot]]); err != nil {
+			if _, err := d.ftl.Write(t, vlba, d.payload(vslot)); err != nil {
 				// Media full: surface by dropping; callers see ErrFull
 				// on their own writes. Data loss accounting only.
 				d.stats.DirtyLost++
@@ -221,16 +271,11 @@ func (d *Device) bufInsert(t sim.Time, lba uint64, data []byte, dirty bool) sim.
 		}
 	}
 	slot := d.buf.InsertFront(lba)
-	for int(slot) >= len(d.bufData) {
-		d.bufData = append(d.bufData, nil)
-		d.bufLen = append(d.bufLen, 0)
-		d.bufDirty = append(d.bufDirty, false)
+	for int(slot) >= len(d.slots) {
+		d.slots = mem.AppendDoubling(d.slots, bufSlot{})
 	}
-	if d.bufData[slot] == nil {
-		d.bufData[slot] = make([]byte, d.cfg.Geometry.PageBytes)
-	}
-	d.bufLen[slot] = copy(d.bufData[slot], data)
-	d.bufDirty[slot] = dirty
+	d.setPayload(slot, data)
+	d.slots[slot].dirty = dirty
 	return d.bufAccess(t, int64(len(data)))
 }
 
@@ -254,7 +299,7 @@ func (d *Device) Write(t sim.Time, lba uint64, data []byte, fua bool) (sim.Time,
 			return fdone, err
 		}
 		if slot, ok := d.buf.Get(lba); ok {
-			d.bufDirty[slot] = false
+			d.slots[slot].dirty = false
 		}
 		return fdone, nil
 	}
@@ -266,18 +311,20 @@ func (d *Device) Read(t sim.Time, lba uint64, bytes uint32) (sim.Time, []byte) {
 	n := d.PageBytes()
 	if d.bufCap > 0 {
 		if slot, ok := d.buf.Get(lba); ok {
-			n = uint64(d.bufLen[slot])
+			n = uint64(d.slots[slot].n)
 		}
 	}
 	buf := make([]byte, n)
-	done := d.ReadInto(t, lba, bytes, buf)
+	done, _ := d.ReadInto(t, lba, bytes, buf)
 	return done, buf
 }
 
-// ReadInto performs Read without allocating: up to one page of content
-// lands in dst, zero-filled past the stored bytes. A nil dst charges
-// timing (and buffer-state effects) only.
-func (d *Device) ReadInto(t sim.Time, lba uint64, bytes uint32, dst []byte) sim.Time {
+// ReadInto performs Read without allocating, with the flash layer's
+// contract: it reports zero, leaving dst untouched, when the page reads
+// as all zero; otherwise up to one page of content lands in dst,
+// zero-filled past the stored bytes. A nil dst charges timing (and
+// buffer-state effects) only.
+func (d *Device) ReadInto(t sim.Time, lba uint64, bytes uint32, dst []byte) (sim.Time, bool) {
 	now := d.hilEnter(t)
 	d.stats.Reads++
 	n := int64(bytes)
@@ -288,20 +335,20 @@ func (d *Device) ReadInto(t sim.Time, lba uint64, bytes uint32, dst []byte) sim.
 		if slot, ok := d.buf.Get(lba); ok {
 			d.stats.BufferHits++
 			d.buf.MoveToFront(slot)
-			m := copy(dst, d.bufData[slot][:d.bufLen[slot]])
-			for i := m; i < len(dst); i++ {
-				dst[i] = 0
+			zero := d.slots[slot].page == 0
+			if !zero {
+				clear(dst[copy(dst, d.payload(slot)):])
 			}
-			return d.bufAccess(now, n)
+			return d.bufAccess(now, n), zero
 		}
 		d.stats.BufferMisses++
-		done := d.ftl.ReadInto(now, lba, bytes, d.scratch)
-		done = d.bufInsert(done, lba, d.scratch, false)
-		m := copy(dst, d.scratch)
-		for i := m; i < len(dst); i++ {
-			dst[i] = 0
+		done, zero := d.ftl.ReadInto(now, lba, bytes, d.scratch)
+		if zero {
+			return d.bufInsert(done, lba, mem.Zeros(len(d.scratch)), false), true
 		}
-		return done
+		done = d.bufInsert(done, lba, d.scratch, false)
+		clear(dst[copy(dst, d.scratch):])
+		return done, false
 	}
 	return d.ftl.ReadInto(now, lba, bytes, dst)
 }
@@ -319,12 +366,12 @@ func (d *Device) Flush(t sim.Time) sim.Time {
 	// flash-channel timing depend on write order, so the flush order
 	// must be deterministic run to run.
 	for slot := d.buf.TailSlot(); slot >= 0; slot = d.buf.PrevOf(slot) {
-		if !d.bufDirty[slot] {
+		if !d.slots[slot].dirty {
 			continue
 		}
-		done, err := d.ftl.Write(now, d.buf.PageOf(slot), d.bufData[slot][:d.bufLen[slot]])
+		done, err := d.ftl.Write(now, d.buf.PageOf(slot), d.payload(slot))
 		if err == nil {
-			d.bufDirty[slot] = false
+			d.slots[slot].dirty = false
 			if done > latest {
 				latest = done
 			}
@@ -338,7 +385,7 @@ func (d *Device) Flush(t sim.Time) sim.Time {
 func (d *Device) Peek(lba uint64) []byte {
 	if d.buf != nil {
 		if slot, ok := d.buf.Get(lba); ok {
-			return append([]byte(nil), d.bufData[slot][:d.bufLen[slot]]...)
+			return append([]byte(nil), d.payload(slot)...)
 		}
 	}
 	return d.ftl.Peek(lba)
@@ -362,7 +409,7 @@ func (d *Device) Trim(lba uint64) {
 func (d *Device) DropCaches(t sim.Time) sim.Time {
 	done := d.Flush(t)
 	if d.buf != nil {
-		d.buf = mem.NewPageLRU() // slot buffers in bufData are reused
+		d.buf = mem.NewPageLRU() // slot entries and their buffers are reused
 	}
 	return done
 }
@@ -378,13 +425,13 @@ func (d *Device) PowerFail() int {
 	// LRU order, not insertion order: the supercap path writes to
 	// flash, and write order must be deterministic (see Flush).
 	for slot := d.buf.TailSlot(); slot >= 0; slot = d.buf.PrevOf(slot) {
-		if !d.bufDirty[slot] {
+		if !d.slots[slot].dirty {
 			continue
 		}
 		dirty++
 		if d.cfg.Supercap {
-			if _, err := d.ftl.Write(0, d.buf.PageOf(slot), d.bufData[slot][:d.bufLen[slot]]); err == nil {
-				d.bufDirty[slot] = false
+			if _, err := d.ftl.Write(0, d.buf.PageOf(slot), d.payload(slot)); err == nil {
+				d.slots[slot].dirty = false
 				continue
 			}
 		}

@@ -17,6 +17,7 @@ type mixer struct {
 	scratchBase uint64
 	scratchSize uint64
 	cursor      uint64
+	acc         []mem.Access // the last step's accesses, reused by the next
 }
 
 func newMixer(base uint64) *mixer {
@@ -31,6 +32,9 @@ func (m *mixer) scratchAccess(op mem.Op) mem.Access {
 
 // emit builds a step whose totals approximate the ratios: mapped
 // accesses are given; scratch loads/stores and compute are derived.
+// The step's access slice is the mixer's buffer, overwritten by the
+// next emit (the cpu.Stream contract), so steady-state steps allocate
+// nothing; mapped is copied, so callers may pass a stack buffer.
 func (m *mixer) emit(s Spec, mapped []mem.Access, totalInstr int64) cpu.Step {
 	var mappedLoads, mappedStores int64
 	for _, a := range mapped {
@@ -43,7 +47,7 @@ func (m *mixer) emit(s Spec, mapped []mem.Access, totalInstr int64) cpu.Step {
 	}
 	wantLoads := int64(s.LoadRatio * float64(totalInstr))
 	wantStores := int64(s.StoreRatio * float64(totalInstr))
-	step := cpu.Step{Acc: mapped}
+	step := cpu.Step{Acc: append(m.acc[:0], mapped...)}
 	for l := mappedLoads; l < wantLoads; l++ {
 		step.Acc = append(step.Acc, m.scratchAccess(mem.Read))
 	}
@@ -57,6 +61,7 @@ func (m *mixer) emit(s Spec, mapped []mem.Access, totalInstr int64) cpu.Step {
 	if mappedStores > wantStores {
 		memInstr += mappedStores - wantStores
 	}
+	m.acc = step.Acc
 	step.Compute = totalInstr - memInstr
 	if step.Compute < 0 {
 		step.Compute = 0
@@ -127,7 +132,7 @@ func (m *microStream) Next() (cpu.Step, bool) {
 	if m.spec.WriteHeavy {
 		op = mem.Write
 	}
-	mapped := []mem.Access{{Addr: addr, Size: uint32(page), Op: op}}
+	mapped := [1]mem.Access{{Addr: addr, Size: uint32(page), Op: op}}
 	// One page copy touches page/64 lines on the mapped side; the
 	// iteration's total instruction count is set so that the mapped
 	// operation accounts for exactly its own Table III ratio (the
@@ -138,7 +143,7 @@ func (m *microStream) Next() (cpu.Step, bool) {
 		ratio = m.spec.StoreRatio
 	}
 	total := int64(float64(mappedLines) / ratio)
-	step := m.mix.emit(m.spec, mapped, total)
+	step := m.mix.emit(m.spec, mapped[:], total)
 	m.budget -= instrOf(step)
 	m.iters++
 	return step, true
@@ -224,7 +229,8 @@ func (k *kvStream) Next() (cpu.Step, bool) {
 		return cpu.Step{}, false
 	}
 	key := k.nextKey()
-	var mapped []mem.Access
+	var buf [4]mem.Access
+	mapped := buf[:0]
 	// Root is cached (scratch); inner node read: 64 B.
 	mapped = append(mapped, mem.Access{Addr: k.innerAddr(key), Size: 64, Op: mem.Read})
 	leaf := k.leafAddr(key)
@@ -274,7 +280,8 @@ func (r *rodiniaStream) Next() (cpu.Step, bool) {
 	if r.budget <= 0 {
 		return cpu.Step{}, false
 	}
-	var mapped []mem.Access
+	var buf [3]mem.Access
+	mapped := buf[:0]
 	var total int64
 	switch r.spec.Name {
 	case "BFS":

@@ -140,6 +140,7 @@ func drain(t *testing.T, s cpu.Stream) []cpu.Step {
 		if !ok {
 			return out
 		}
+		st.Acc = append([]mem.Access(nil), st.Acc...) // Next may reuse it
 		out = append(out, st)
 		if len(out) > 5_000_000 {
 			t.Fatal("stream does not terminate")

@@ -3,7 +3,7 @@
 
 GOBIN := $(CURDIR)/bin
 
-.PHONY: all build test test-shuffle race lint hamslint fmt clean
+.PHONY: all build test test-shuffle race lint hamslint fmt loc clean
 
 all: build test lint
 
@@ -41,6 +41,18 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
+
+# Non-test Go LoC per package and in total, as a Markdown table: the
+# code-size budget ROADMAP.md tracks. testdata/ and the perfbench
+# module are excluded. CI appends this table to its step summary.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' \
+		-not -path '*/testdata/*' -not -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/?", "", d); \
+		n[d == "" ? "." : d] += $$1; t += $$1 } \
+	END { print "| package | non-test Go lines |"; print "|---|---:|"; fflush(); \
+		for (d in n) printf "| %s | %d |\n", d, n[d] | "sort"; close("sort"); \
+		printf "| **total** | **%d** |\n", t }'
 
 clean:
 	rm -rf $(GOBIN)

@@ -92,80 +92,56 @@ func (j *job) next(i int) (cells []report.Cell, done bool, changed <-chan struct
 	return cells, terminal(j.state), j.changed
 }
 
-// traceStore holds uploaded trace containers by ID — the hamsd side
-// of api.TraceResolver. IDs, not paths: a job body must not be able to
-// read arbitrary daemon-filesystem files.
-type traceStore struct {
+// store holds uploaded objects by ID — the hamsd side of the api
+// resolver seams. IDs, not paths: a job body must not be able to read
+// arbitrary daemon-filesystem files.
+type store[T any] struct {
+	prefix string // IDs are prefix-1, prefix-2, ...
+	noun   string // names the object and its upload route in errors
+
 	mu   sync.Mutex
 	seq  int
-	byID map[string]*trace.File
+	byID map[string]T
 }
 
-func newTraceStore() *traceStore { return &traceStore{byID: make(map[string]*trace.File)} }
+func newStore[T any](prefix, noun string) *store[T] {
+	return &store[T]{prefix: prefix, noun: noun, byID: make(map[string]T)}
+}
 
-func (s *traceStore) Put(tf *trace.File) string {
+func (s *store[T]) Put(v T) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	id := fmt.Sprintf("upload-%d", s.seq)
-	s.byID[id] = tf
+	id := fmt.Sprintf("%s-%d", s.prefix, s.seq)
+	s.byID[id] = v
 	return id
 }
 
-func (s *traceStore) Len() int {
+func (s *store[T]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.byID)
 }
 
-func (s *traceStore) Trace(ref string) (*trace.File, error) {
+func (s *store[T]) get(ref string) (T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tf, ok := s.byID[ref]
+	v, ok := s.byID[ref]
 	if !ok {
-		return nil, fmt.Errorf("hamsd: unknown trace %q (upload it via POST /v1/traces first)", ref)
+		return v, fmt.Errorf("hamsd: unknown %s %q (upload it via POST /v1/%ss first)", s.noun, ref, s.noun)
 	}
-	return tf, nil
+	return v, nil
 }
 
-// checkpointStore holds uploaded checkpoint images by ID — the hamsd
-// side of api.CheckpointResolver. IDs, not paths, exactly like traces:
-// a job body must not be able to read arbitrary daemon-filesystem
-// files.
-type checkpointStore struct {
-	mu   sync.Mutex
-	seq  int
-	byID map[string]*checkpoint.Image
-}
+// traceStore is the daemon's api.TraceResolver.
+type traceStore struct{ *store[*trace.File] }
 
-func newCheckpointStore() *checkpointStore {
-	return &checkpointStore{byID: make(map[string]*checkpoint.Image)}
-}
+func (s traceStore) Trace(ref string) (*trace.File, error) { return s.get(ref) }
 
-func (s *checkpointStore) Put(img *checkpoint.Image) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	id := fmt.Sprintf("ckpt-%d", s.seq)
-	s.byID[id] = img
-	return id
-}
+// checkpointStore is the daemon's api.CheckpointResolver.
+type checkpointStore struct{ *store[*checkpoint.Image] }
 
-func (s *checkpointStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byID)
-}
-
-func (s *checkpointStore) Checkpoint(ref string) (*checkpoint.Image, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	img, ok := s.byID[ref]
-	if !ok {
-		return nil, fmt.Errorf("hamsd: unknown checkpoint %q (upload it via POST /v1/checkpoints first)", ref)
-	}
-	return img, nil
-}
+func (s checkpointStore) Checkpoint(ref string) (*checkpoint.Image, error) { return s.get(ref) }
 
 // managerConfig sizes the manager; see envConfig for the variables.
 type managerConfig struct {
@@ -183,8 +159,8 @@ type managerConfig struct {
 type manager struct {
 	log         *slog.Logger
 	pool        *runner.Pool
-	traces      *traceStore
-	checkpoints *checkpointStore
+	traces      traceStore
+	checkpoints checkpointStore
 	sem         chan struct{}
 	defCap      int
 	caps        map[string]int
@@ -215,8 +191,8 @@ func newManager(cfg managerConfig) *manager {
 	return &manager{
 		log:         log,
 		pool:        runner.NewPool(cfg.Workers),
-		traces:      newTraceStore(),
-		checkpoints: newCheckpointStore(),
+		traces:      traceStore{newStore[*trace.File]("upload", "trace")},
+		checkpoints: checkpointStore{newStore[*checkpoint.Image]("ckpt", "checkpoint")},
 		sem:         make(chan struct{}, maxActive),
 		defCap:      cfg.DefaultCap,
 		caps:        cfg.ClientCaps,

@@ -73,7 +73,9 @@ type JobSpec struct {
 	// shared pool (hamsd).
 	Parallel int `json:"parallel,omitempty"`
 
-	// Platform knobs (kinds run and scenario; see platform.Options).
+	// Platform knobs (kinds run and scenario). PlatformOptions maps the
+	// controller knobs onto core.Config for every HAMS variant; zero
+	// keeps the paper's default.
 	Platform   string `json:"platform,omitempty"`
 	PageBytes  uint64 `json:"page_bytes,omitempty"`
 	Ways       int    `json:"ways,omitempty"`

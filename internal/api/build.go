@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 
+	"hams/internal/core"
 	"hams/internal/core/tagstore"
 	"hams/internal/experiments"
 	"hams/internal/platform"
@@ -20,23 +21,19 @@ import (
 // but they do not re-check cross-field rules.
 
 // PlatformOptions builds the platform option set of a run or scenario
-// job. For run jobs a single-class QoS budget (qos_masks/qos_mbps with
-// one name) becomes a one-class table bounding the whole workload, the
-// hamssim -qos-mask/-qos-mbps semantics.
+// job: one edit of the HAMS controller configuration that carries
+// every knob the spec sets (zero keeps the variant's default). This is
+// the one place a JobSpec knob maps onto core.Config. For run jobs a
+// single-class QoS budget (qos_masks/qos_mbps with one name) becomes a
+// one-class table bounding the whole workload, the hamssim
+// -qos-mask/-qos-mbps semantics.
 func (s JobSpec) PlatformOptions() (platform.Options, error) {
 	pol, err := tagstore.ParsePolicy(s.Policy)
 	if err != nil {
 		return platform.Options{}, fmt.Errorf("api: policy: %w", err)
 	}
-	p := platform.Options{
-		HAMSPage:       s.PageBytes,
-		HAMSWays:       s.Ways,
-		HAMSBanks:      s.Banks,
-		HAMSPolicy:     pol,
-		HAMSMSHRs:      s.MSHRs,
-		HAMSQueueDepth: s.QueueDepth,
-		HAMSNVDIMM:     s.NVDIMM,
-	}
+	var table *qos.Table
+	var timeline []qos.TimedChange
 	if s.Kind == KindRun {
 		cls, err := s.runClass()
 		if err != nil {
@@ -49,19 +46,40 @@ func (s JobSpec) PlatformOptions() (platform.Options, error) {
 			cls = &qos.Class{Name: s.QoSPolicy[0].Class}
 		}
 		if cls != nil {
-			p.HAMSQoS = &qos.Table{Classes: []qos.Class{*cls}}
+			table = &qos.Table{Classes: []qos.Class{*cls}}
 		}
 		if len(s.QoSPolicy) > 0 {
-			timeline, err := s.qosTimeline(func(name string) (qos.ClassID, bool) {
+			timeline, err = s.qosTimeline(func(name string) (qos.ClassID, bool) {
 				return 0, cls != nil && name == cls.Name
 			})
 			if err != nil {
 				return platform.Options{}, err
 			}
-			p.HAMSQoSPolicy = timeline
 		}
 	}
-	return p, nil
+	return platform.Options{HAMS: func(c *core.Config) {
+		if s.PageBytes != 0 {
+			c.PageBytes = s.PageBytes
+		}
+		if s.Ways != 0 {
+			c.Ways = s.Ways
+		}
+		if s.Banks != 0 {
+			c.Banks = s.Banks
+		}
+		c.Replacement = pol
+		if s.MSHRs != 0 {
+			c.MSHRs = s.MSHRs
+		}
+		if s.QueueDepth != 0 {
+			c.QueueDepth = s.QueueDepth
+		}
+		if s.NVDIMM != 0 {
+			c.SetNVDIMMBytes(s.NVDIMM)
+		}
+		c.QoS = table
+		c.QoSPolicy = timeline
+	}}, nil
 }
 
 // qosTimeline resolves the wire policy schedule into qos.TimedChange

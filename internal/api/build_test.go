@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"hams/internal/checkpoint"
+	"hams/internal/core"
 	"hams/internal/core/tagstore"
+	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/qos"
 	"hams/internal/replay"
@@ -21,17 +23,33 @@ func TestPlatformOptionsMirrorsSpec(t *testing.T) {
 		PageBytes: 1 << 16, Ways: 4, Banks: 2, Policy: "clock",
 		MSHRs: 4, QueueDepth: 8, NVDIMM: 1 << 20,
 	}
+	got := hamsConfig(t, spec)
+	want := core.DefaultConfig(core.Extend, core.Loose)
+	want.PageBytes, want.Ways, want.Banks, want.Replacement = 1<<16, 4, 2, tagstore.Clock
+	want.MSHRs, want.QueueDepth = 4, 8
+	want.NVDIMM.DRAM.Capacity, want.PinnedBytes = 1<<20, 1<<18
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	// Zero knobs keep the variant's defaults.
+	if got := hamsConfig(t, JobSpec{Kind: KindRun, Platform: "hams-TE", Workload: "seqRd"}); !reflect.DeepEqual(got, core.DefaultConfig(core.Extend, core.Tight)) {
+		t.Fatalf("knob-free spec edited the defaults: %+v", got)
+	}
+}
+
+// hamsConfig returns the controller configuration spec's platform
+// options build on its (HAMS) platform.
+func hamsConfig(t *testing.T, spec JobSpec) core.Config {
+	t.Helper()
 	p, err := spec.PlatformOptions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := platform.Options{
-		HAMSPage: 1 << 16, HAMSWays: 4, HAMSBanks: 2, HAMSPolicy: tagstore.Clock,
-		HAMSMSHRs: 4, HAMSQueueDepth: 8, HAMSNVDIMM: 1 << 20,
+	cfg, ok := platform.HAMSConfig(spec.Platform, p)
+	if !ok {
+		t.Fatalf("%s is not a HAMS platform", spec.Platform)
 	}
-	if !reflect.DeepEqual(p, want) {
-		t.Fatalf("got %+v, want %+v", p, want)
-	}
+	return cfg
 }
 
 // TestPlatformOptionsRunQoS pins the hamssim single-class semantics:
@@ -41,14 +59,11 @@ func TestPlatformOptionsRunQoS(t *testing.T) {
 	spec := JobSpec{Kind: KindRun, Platform: "hams-LE", Workload: "seqRd",
 		QoSMasks: map[string]string{"workload": "0x3"},
 		QoSMBps:  map[string]float64{"workload": 200}}
-	p, err := spec.PlatformOptions()
-	if err != nil {
-		t.Fatal(err)
+	cfg := hamsConfig(t, spec)
+	if cfg.QoS == nil || len(cfg.QoS.Classes) != 1 {
+		t.Fatalf("want a one-class table, got %+v", cfg.QoS)
 	}
-	if p.HAMSQoS == nil || len(p.HAMSQoS.Classes) != 1 {
-		t.Fatalf("want a one-class table, got %+v", p.HAMSQoS)
-	}
-	if c := p.HAMSQoS.Classes[0]; c != (qos.Class{Name: "workload", WayMask: 0x3, MBps: 200}) {
+	if c := cfg.QoS.Classes[0]; c != (qos.Class{Name: "workload", WayMask: 0x3, MBps: 200}) {
 		t.Fatalf("class = %+v", c)
 	}
 
@@ -57,12 +72,8 @@ func TestPlatformOptionsRunQoS(t *testing.T) {
 		{Kind: KindRun, Platform: "hams-LE", Workload: "seqRd",
 			QoSMasks: map[string]string{"workload": "full"}},
 	} {
-		p, err := s.PlatformOptions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.HAMSQoS != nil {
-			t.Fatalf("unbounded spec grew a table: %+v", p.HAMSQoS)
+		if cfg := hamsConfig(t, s); cfg.QoS != nil {
+			t.Fatalf("unbounded spec grew a table: %+v", cfg.QoS)
 		}
 	}
 }
@@ -283,5 +294,32 @@ func TestExecuteRunMatchesRunOne(t *testing.T) {
 	}
 	if len(progressed) != 1 || progressed[0].Key != cells[0].Key {
 		t.Fatalf("progress stream = %+v", progressed)
+	}
+}
+
+// TestExecuteHAMSSWHonorsGeometry pins that hams-SW builds its
+// controller from the same knobs as the hardware variants: an 8-way,
+// 64 MiB QoS scenario with partial way masks runs to completion instead
+// of failing against a 1-way array at run time.
+func TestExecuteHAMSSWHonorsGeometry(t *testing.T) {
+	spec := JobSpec{Kind: KindScenario, Platform: "hams-SW", Name: "colo", Scale: 2e-7,
+		Ways: 8, NVDIMM: 64 * mem.MiB,
+		QoS: []ClassSpec{
+			{Name: "latency", WayMask: "0xf0"},
+			{Name: "stream", WayMask: "0x0f", MBps: 200},
+		},
+		Tenants: []TenantSpec{
+			{Name: "latency", Workload: "rndRd", Class: "latency"},
+			{Name: "stream", Workload: "seqWr", Class: "stream", Scale: 4e-7, Base: 64 * mem.GiB},
+		}}
+	if err := Validate(spec); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Execute(spec, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 1 || cells[0].Units == 0 {
+		t.Fatalf("cells = %+v", cells)
 	}
 }

@@ -180,6 +180,17 @@ func DefaultConfig(m Mode, tp Topology) Config {
 	return c
 }
 
+// SetNVDIMMBytes resizes the NVDIMM module (cache-pressure studies
+// shrink it to provoke contention at bench scale). When the pinned
+// region would not fit, it shrinks to a quarter of the module so most
+// of a small module remains MoS cache.
+func (c *Config) SetNVDIMMBytes(n uint64) {
+	c.NVDIMM.DRAM.Capacity = n
+	if c.PinnedBytes >= n {
+		c.PinnedBytes = n / 4
+	}
+}
+
 // inflight tracks one outstanding NVMe command for hazard management
 // and power-failure replay. Entries live by value in the bank's live
 // slice (issue order), keyed by cmd.CID.

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"hams/internal/core"
+	"hams/internal/flash"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/stats"
@@ -21,31 +23,28 @@ func Ablation(o Options) (*stats.Table, error) {
 	t := stats.NewTable("Ablation: design choices (throughput ratio, variant / default)",
 		"design choice", "workload", "default", "variant", "ratio")
 
+	// Each row runs the base platform at its defaults against the
+	// variant platform under edit (nil = its defaults too).
 	type row struct {
 		label    string
 		workload string
 		basePlat string
-		baseOpt  platform.Options
 		varPlat  string
-		varOpt   platform.Options
+		edit     func(*core.Config)
 	}
+	tlc := func(c *core.Config) { c.SSD.Timing = flash.VNANDTLC() }
+	page := func(n uint64) func(*core.Config) { return func(c *core.Config) { c.PageBytes = n } }
 	rows := []row{
-		{"hardware automation (vs page-fault per miss)", "update",
-			"hams-LE", platform.Options{}, "hams-SW", platform.Options{}},
-		{"hardware automation (vs page-fault per miss)", "seqRd",
-			"hams-LE", platform.Options{}, "hams-SW", platform.Options{}},
-		{"Z-NAND medium (vs TLC archive)", "seqRd",
-			"hams-TE", platform.Options{}, "hams-TE", platform.Options{ArchiveTLC: true}},
-		{"Z-NAND medium (vs TLC archive)", "rndIns",
-			"hams-TE", platform.Options{}, "hams-TE", platform.Options{ArchiveTLC: true}},
-		{"16 flash channels (vs 4)", "seqRd",
-			"hams-TE", platform.Options{}, "hams-TE", platform.Options{ArchiveChannels: 4}},
-		{"PRP pool 64 slots (vs 4)", "rndIns",
-			"hams-LE", platform.Options{}, "hams-LE", platform.Options{HAMSPRPSlots: 4}},
-		{"128 KiB MoS page (vs 4 KiB)", "seqSel",
-			"hams-TE", platform.Options{}, "hams-TE", platform.Options{HAMSPage: 4 * mem.KiB}},
-		{"128 KiB MoS page (vs 1 MiB)", "rndIns",
-			"hams-TE", platform.Options{}, "hams-TE", platform.Options{HAMSPage: mem.MiB}},
+		{"hardware automation (vs page-fault per miss)", "update", "hams-LE", "hams-SW", nil},
+		{"hardware automation (vs page-fault per miss)", "seqRd", "hams-LE", "hams-SW", nil},
+		{"Z-NAND medium (vs TLC archive)", "seqRd", "hams-TE", "hams-TE", tlc},
+		{"Z-NAND medium (vs TLC archive)", "rndIns", "hams-TE", "hams-TE", tlc},
+		{"16 flash channels (vs 4)", "seqRd", "hams-TE", "hams-TE",
+			func(c *core.Config) { c.SSD.Geometry.Channels = 4 }},
+		{"PRP pool 64 slots (vs 4)", "rndIns", "hams-LE", "hams-LE",
+			func(c *core.Config) { c.PRPSlots = 4 }},
+		{"128 KiB MoS page (vs 4 KiB)", "seqSel", "hams-TE", "hams-TE", page(4 * mem.KiB)},
+		{"128 KiB MoS page (vs 1 MiB)", "rndIns", "hams-TE", "hams-TE", page(mem.MiB)},
 	}
 	// Each row is two engine cells (base + variant); keys carry the row
 	// index because several rows reuse the same base configuration.
@@ -53,9 +52,9 @@ func Ablation(o Options) (*stats.Table, error) {
 	for i, r := range rows {
 		cells = append(cells,
 			matrixCell{key: fmt.Sprintf("r%02d/base", i),
-				platform: r.basePlat, workload: r.workload, popt: r.baseOpt},
+				platform: r.basePlat, workload: r.workload},
 			matrixCell{key: fmt.Sprintf("r%02d/variant", i),
-				platform: r.varPlat, workload: r.workload, popt: r.varOpt})
+				platform: r.varPlat, workload: r.workload, popt: platform.Options{HAMS: r.edit}})
 	}
 	res, err := runMatrix(o, "ablation", cells)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"hams/internal/checkpoint"
+	"hams/internal/core"
 	"hams/internal/cpu"
 	"hams/internal/energy"
 	"hams/internal/platform"
@@ -109,8 +110,14 @@ func (o Options) wl() workload.Options {
 // cell). Every HAMS-cell path — the run matrix, and the replay,
 // mixed and qos scenario targets — routes its options through here.
 func (o Options) applyMSHRs(p platform.Options) platform.Options {
-	if o.MSHRs != 0 && p.HAMSMSHRs == 0 {
-		p.HAMSMSHRs = o.MSHRs
+	if o.MSHRs != 0 {
+		pinned := p.HAMS
+		p.HAMS = func(c *core.Config) {
+			c.MSHRs = o.MSHRs
+			if pinned != nil {
+				pinned(c) // a cell's own depth wins
+			}
+		}
 	}
 	return p
 }

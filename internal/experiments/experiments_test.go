@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"hams/internal/core"
+	"hams/internal/flash"
 	"hams/internal/platform"
 )
 
@@ -173,7 +175,7 @@ func TestFig20PageSizeSweepRuns(t *testing.T) {
 	// A smaller sweep through the same code path as Fig20a: both
 	// extreme page sizes must run and produce throughput.
 	for _, pg := range []uint64{4096, 1 << 20} {
-		r, err := Run("hams-TE", "rndSel", quick, platform.Options{HAMSPage: pg}, nil)
+		r, err := Run("hams-TE", "rndSel", quick, platform.Options{HAMS: func(c *core.Config) { c.PageBytes = pg }}, nil)
 		if err != nil {
 			t.Fatalf("page %d: %v", pg, err)
 		}
@@ -267,7 +269,7 @@ func TestShapeZNANDMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlc, err := Run("hams-TE", "seqRd", quick, platform.Options{ArchiveTLC: true}, nil)
+	tlc, err := Run("hams-TE", "seqRd", quick, platform.Options{HAMS: func(c *core.Config) { c.SSD.Timing = flash.VNANDTLC() }}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

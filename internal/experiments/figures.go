@@ -476,7 +476,7 @@ func Fig20(o Options) ([]*stats.Table, error) {
 			cells = append(cells, matrixCell{
 				key:      fmt.Sprintf("a/%s/%dKB", wl, pg/mem.KiB),
 				platform: "hams-TE", workload: wl,
-				popt: platform.Options{HAMSPage: pg},
+				popt: platform.Options{HAMS: func(c *core.Config) { c.PageBytes = pg }},
 			})
 		}
 	}

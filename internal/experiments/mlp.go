@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/stats"
@@ -88,12 +89,10 @@ func MLPSweep(o Options) ([]*stats.Table, error) {
 			cells = append(cells, matrixCell{
 				key:      fmt.Sprintf("%s/p%d-%s", wl, i, p.label()),
 				platform: "hams-LE", workload: wl,
-				popt: platform.Options{
-					HAMSMSHRs:      p.MSHRs,
-					HAMSQueueDepth: p.QueueDepth,
-					HAMSNVDIMM:     mlpNVDIMM,
-					HAMSPRPSlots:   mlpPRPSlots,
-				},
+				popt: platform.Options{HAMS: func(c *core.Config) {
+					c.MSHRs, c.QueueDepth, c.PRPSlots = p.MSHRs, p.QueueDepth, mlpPRPSlots
+					c.SetNVDIMMBytes(mlpNVDIMM)
+				}},
 				wopt:     &wopt,
 				keepPlat: true, // the table reads controller stats
 				extra:    mlpExtra,

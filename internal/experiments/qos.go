@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/qos"
@@ -144,7 +145,10 @@ func qosScenarioFor(v qosVariant, seed int64) replay.Scenario {
 	return replay.Scenario{
 		Name:     qosScenario,
 		Platform: qosPlatform,
-		PlatOpts: platform.Options{HAMSWays: 8, HAMSNVDIMM: 64 * mem.MiB},
+		PlatOpts: platform.Options{HAMS: func(c *core.Config) {
+			c.Ways = 8
+			c.SetNVDIMMBytes(64 * mem.MiB)
+		}},
 		Tenants: []replay.Tenant{
 			{
 				// The latency-sensitive service: a graph workload whose

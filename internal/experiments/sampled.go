@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hams/internal/checkpoint"
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/replay"
@@ -102,7 +103,10 @@ func sampledScenarioFor(seed int64, warmup int64) replay.Scenario {
 	return replay.Scenario{
 		Name:     sampledScenario,
 		Platform: sampledPlatform,
-		PlatOpts: platform.Options{HAMSWays: 4, HAMSNVDIMM: 64 * mem.MiB, HAMSMSHRs: 4},
+		PlatOpts: platform.Options{HAMS: func(c *core.Config) {
+			c.Ways, c.MSHRs = 4, 4
+			c.SetNVDIMMBytes(64 * mem.MiB)
+		}},
 		Tenants: []replay.Tenant{
 			{
 				Name: "svc", Workload: "rndRd",

@@ -101,11 +101,9 @@ func RunSweep(o Options, workloads []string, points []SweepPoint) ([]SweepResult
 			cells = append(cells, matrixCell{
 				key:      fmt.Sprintf("%s/p%d-%s", wl, i, p.label()),
 				platform: "hams-LE", workload: wl,
-				popt: platform.Options{
-					HAMSWays:   p.Ways,
-					HAMSBanks:  p.Banks,
-					HAMSPolicy: p.Policy,
-				},
+				popt: platform.Options{HAMS: func(c *core.Config) {
+					c.Ways, c.Banks, c.Replacement = p.Ways, p.Banks, p.Policy
+				}},
 				keepPlat: true, // SweepResult reads controller stats
 			})
 		}

@@ -3,6 +3,8 @@ package platform
 import (
 	"testing"
 
+	"hams/internal/core"
+	"hams/internal/flash"
 	"hams/internal/mem"
 	"hams/internal/sim"
 )
@@ -103,7 +105,7 @@ func TestArchiveTLCOptionSlowsMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlc, err := New("hams-TE", Options{ArchiveTLC: true})
+	tlc, err := New("hams-TE", Options{HAMS: func(c *core.Config) { c.SSD.Timing = flash.VNANDTLC() }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestArchiveTLCOptionSlowsMisses(t *testing.T) {
 }
 
 func TestArchiveChannelsOption(t *testing.T) {
-	p, err := New("hams-TE", Options{ArchiveChannels: 2})
+	p, err := New("hams-TE", Options{HAMS: func(c *core.Config) { c.SSD.Geometry.Channels = 2 }})
 	if err != nil {
 		t.Fatal(err)
 	}

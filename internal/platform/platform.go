@@ -9,11 +9,9 @@ import (
 	"fmt"
 
 	"hams/internal/core"
-	"hams/internal/core/tagstore"
 	"hams/internal/cpu"
 	"hams/internal/dram"
 	"hams/internal/energy"
-	"hams/internal/flash"
 	"hams/internal/mem"
 	"hams/internal/osmodel"
 	"hams/internal/pcie"
@@ -37,55 +35,38 @@ type Platform interface {
 
 // Options tunes platform construction.
 type Options struct {
-	// HAMSPage overrides the MoS page size (Fig. 20a); 0 = 128 KiB.
-	HAMSPage uint64
-	// HAMSPRPSlots overrides the PRP clone-pool size (ablation).
-	HAMSPRPSlots int
-	// HAMSWays overrides the MoS tag-array associativity; 0 = the
-	// paper's direct-mapped organization.
-	HAMSWays int
-	// HAMSBanks shards the MoS space across independent controller
-	// banks; 0 = the paper's single bank.
-	HAMSBanks int
-	// HAMSPolicy selects the replacement policy when HAMSWays > 1.
-	HAMSPolicy tagstore.Policy
-	// HAMSMSHRs sizes each bank's miss-status-register file; 0 or 1 =
-	// the paper's blocking miss pipeline, >= 2 enables the
-	// non-blocking pipeline (deferred writebacks, miss coalescing,
-	// hit-under-miss) with that many outstanding misses per bank.
-	HAMSMSHRs int
-	// HAMSQueueDepth caps outstanding NVMe commands per bank queue
-	// pair; 0 = unbounded (the paper's configuration).
-	HAMSQueueDepth int
-	// HAMSQoS enables the RDT-style isolation layer on the HAMS
-	// variants: per-class way masks confine replacement, per-class
-	// MBps limits throttle archive traffic, and the controller
-	// monitors per-class occupancy/bandwidth. nil = no QoS (other
-	// platforms ignore the table).
-	HAMSQoS *qos.Table
-	// HAMSQoSPolicy is a sim-time-scheduled timeline of runtime class
-	// reprogrammings, latched deterministically at request arrivals
-	// (requires HAMSQoS; other platforms ignore it).
-	HAMSQoSPolicy []qos.TimedChange
-	// HAMSQoSController attaches an SLO feedback controller driven off
-	// the MBM sample ticker (requires HAMSQoS; other platforms ignore
-	// it).
-	HAMSQoSController *qos.Controller
-	// HAMSNVDIMM overrides the NVDIMM module size (cache-pressure
-	// ablation; the QoS isolation cells use it to provoke contention
-	// at bench scale); 0 = the paper's 8 GiB. The pinned region
-	// shrinks with the module when the default would not fit.
-	HAMSNVDIMM uint64
-	// ArchiveChannels overrides the ULL-Flash channel count (ablation).
-	ArchiveChannels int
-	// ArchiveTLC swaps the archive medium to conventional TLC flash
-	// (ablation: what HAMS would be without Z-NAND).
-	ArchiveTLC bool
+	// HAMS edits the controller configuration of the five HAMS
+	// variants (hams-LP/LE/TP/TE/SW). It is applied to the variant's
+	// core.DefaultConfig, so nil keeps the paper's Table II setup, and
+	// it must be a pure edit: New and MappingPage may each apply it.
+	// Other platforms ignore it.
+	HAMS func(*core.Config)
 	// MmapSSD selects the storage behind the MMF baseline:
 	// "ull" (default), "nvme", "sata" (Fig. 6).
 	MmapSSD string
-	// OracleBytes sizes the oracle NVDIMM (default 512 GiB).
-	OracleBytes uint64
+}
+
+// HAMSConfig returns the controller configuration New builds a HAMS
+// platform from: the variant's core.DefaultConfig with o.HAMS applied.
+// hams-SW runs hams-LE's datapath (Extend mode, Loose topology). ok is
+// false for every other platform.
+func HAMSConfig(name string, o Options) (cfg core.Config, ok bool) {
+	switch name {
+	case "hams-LP":
+		cfg = core.DefaultConfig(core.Persist, core.Loose)
+	case "hams-LE", "hams-SW":
+		cfg = core.DefaultConfig(core.Extend, core.Loose)
+	case "hams-TP":
+		cfg = core.DefaultConfig(core.Persist, core.Tight)
+	case "hams-TE":
+		cfg = core.DefaultConfig(core.Extend, core.Tight)
+	default:
+		return core.Config{}, false
+	}
+	if o.HAMS != nil {
+		o.HAMS(&cfg)
+	}
+	return cfg, true
 }
 
 // Names lists the Fig. 16 platform order.
@@ -121,31 +102,29 @@ func Known(name string) bool {
 // the same granularity or identical streams would translate
 // differently.
 func MappingPage(name string, o Options) uint64 {
-	switch name {
-	case "hams-LP", "hams-LE", "hams-TP", "hams-TE", "hams-SW":
-		if o.HAMSPage != 0 {
-			return o.HAMSPage
-		}
-		return 128 * 1024
+	if cfg, ok := HAMSConfig(name, o); ok {
+		return cfg.PageBytes
 	}
 	return 0
 }
 
 // New constructs a platform by its paper name.
 func New(name string, o Options) (Platform, error) {
+	if cfg, ok := HAMSConfig(name, o); ok {
+		ctl, err := core.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if name == "hams-SW" {
+			return &hamsSWPlatform{ctl: ctl, costs: osmodel.DefaultCosts()}, nil
+		}
+		return &hamsPlatform{name: name, ctl: ctl}, nil
+	}
 	switch name {
 	case "mmap":
 		return newMmap(o)
 	case "oracle":
-		return newOracle(o)
-	case "hams-LP":
-		return newHAMS(core.Persist, core.Loose, o)
-	case "hams-LE":
-		return newHAMS(core.Extend, core.Loose, o)
-	case "hams-TP":
-		return newHAMS(core.Persist, core.Tight, o)
-	case "hams-TE":
-		return newHAMS(core.Extend, core.Tight, o)
+		return newOracle(), nil
 	case "optane-P":
 		return newOptane(false), nil
 	case "optane-M":
@@ -156,8 +135,6 @@ func New(name string, o Options) (Platform, error) {
 		return newFlatFlash(true), nil
 	case "nvdimm-C":
 		return newNVDIMMC(), nil
-	case "hams-SW":
-		return newHAMSSoftware(o)
 	case "ull-direct":
 		return newULLDirect(false), nil
 	case "ull-buff":
@@ -220,14 +197,11 @@ type oraclePlatform struct {
 	d *dram.DDR4
 }
 
-func newOracle(o Options) (*oraclePlatform, error) {
+func newOracle() *oraclePlatform {
 	cfg := dram.DefaultConfig()
 	cfg.Functional = false
 	cfg.Capacity = 512 * mem.GiB
-	if o.OracleBytes != 0 {
-		cfg.Capacity = o.OracleBytes
-	}
-	return &oraclePlatform{d: dram.New(cfg)}, nil
+	return &oraclePlatform{d: dram.New(cfg)}
 }
 
 func (p *oraclePlatform) Name() string { return "oracle" }
@@ -245,67 +219,12 @@ func (p *oraclePlatform) EnergyInputs() energy.Inputs {
 }
 
 // ---------------------------------------------------------------------
-// hams-*: the four HAMS variants wrap the core controller.
+// hams-*: the four HAMS variants wrap the core controller that New
+// builds from HAMSConfig.
 
 type hamsPlatform struct {
 	name string
 	ctl  *core.Controller
-}
-
-func newHAMS(m core.Mode, tp core.Topology, o Options) (*hamsPlatform, error) {
-	cfg := core.DefaultConfig(m, tp)
-	if o.HAMSPage != 0 {
-		cfg.PageBytes = o.HAMSPage
-	}
-	if o.HAMSPRPSlots != 0 {
-		cfg.PRPSlots = o.HAMSPRPSlots
-	}
-	if o.HAMSWays != 0 {
-		cfg.Ways = o.HAMSWays
-	}
-	if o.HAMSBanks != 0 {
-		cfg.Banks = o.HAMSBanks
-	}
-	if o.HAMSMSHRs != 0 {
-		cfg.MSHRs = o.HAMSMSHRs
-	}
-	if o.HAMSQueueDepth != 0 {
-		cfg.QueueDepth = o.HAMSQueueDepth
-	}
-	cfg.Replacement = o.HAMSPolicy
-	cfg.QoS = o.HAMSQoS
-	cfg.QoSPolicy = o.HAMSQoSPolicy
-	cfg.QoSController = o.HAMSQoSController
-	if o.HAMSNVDIMM != 0 {
-		cfg.NVDIMM.DRAM.Capacity = o.HAMSNVDIMM
-		// Keep the pinned region (queues + PRP pools) a quarter of a
-		// small module so most of it remains MoS cache.
-		if cfg.PinnedBytes >= o.HAMSNVDIMM {
-			cfg.PinnedBytes = o.HAMSNVDIMM / 4
-		}
-	}
-	if o.ArchiveChannels != 0 {
-		cfg.SSD.Geometry.Channels = o.ArchiveChannels
-	}
-	if o.ArchiveTLC {
-		cfg.SSD.Timing = flash.VNANDTLC()
-	}
-	ctl, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	name := "hams-"
-	if tp == core.Loose {
-		name += "L"
-	} else {
-		name += "T"
-	}
-	if m == core.Persist {
-		name += "P"
-	} else {
-		name += "E"
-	}
-	return &hamsPlatform{name: name, ctl: ctl}, nil
 }
 
 func (p *hamsPlatform) Name() string { return p.name }
@@ -349,33 +268,13 @@ func (p *hamsPlatform) Controller() *core.Controller { return p.ctl }
 // hams-SW: the software-assisted alternative the paper dismisses in
 // §VII — the same NVDIMM-cache-over-ULL-Flash datapath, but every
 // cache miss is a page fault the OS must service (context switches and
-// fault handling on the critical path). The gap to hams-LE measures
-// the value of hardware automation.
+// fault handling on the critical path). Its controller comes from the
+// same HAMSConfig as hams-LE's, knobs included, so the gap between the
+// two measures the value of hardware automation alone.
 
 type hamsSWPlatform struct {
 	ctl   *core.Controller
 	costs osmodel.Costs
-}
-
-func newHAMSSoftware(o Options) (*hamsSWPlatform, error) {
-	cfg := core.DefaultConfig(core.Extend, core.Loose)
-	if o.HAMSPage != 0 {
-		cfg.PageBytes = o.HAMSPage
-	}
-	if o.HAMSMSHRs != 0 {
-		cfg.MSHRs = o.HAMSMSHRs
-	}
-	if o.HAMSQueueDepth != 0 {
-		cfg.QueueDepth = o.HAMSQueueDepth
-	}
-	cfg.QoS = o.HAMSQoS
-	cfg.QoSPolicy = o.HAMSQoSPolicy
-	cfg.QoSController = o.HAMSQoSController
-	ctl, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &hamsSWPlatform{ctl: ctl, costs: osmodel.DefaultCosts()}, nil
 }
 
 func (p *hamsSWPlatform) Name() string { return "hams-SW" }

@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/sim"
 )
@@ -208,12 +209,35 @@ func TestEnergyInputsNonEmpty(t *testing.T) {
 }
 
 func TestHAMSPageSizeOption(t *testing.T) {
-	p, err := New("hams-TE", Options{HAMSPage: 4 * mem.KiB})
+	p, err := New("hams-TE", Options{HAMS: func(c *core.Config) { c.PageBytes = 4 * mem.KiB }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hp := p.(*hamsPlatform)
 	if hp.Controller().PageBytes() != 4*mem.KiB {
 		t.Fatalf("page bytes = %d", hp.Controller().PageBytes())
+	}
+}
+
+// TestHAMSEditReachesEveryVariant pins the one knob path: the same
+// edit reaches the controller of each of the five HAMS platforms,
+// hams-SW included, and the MMU mapping follows the edited page.
+func TestHAMSEditReachesEveryVariant(t *testing.T) {
+	o := Options{HAMS: func(c *core.Config) { c.PageBytes, c.Ways, c.Banks = 4*mem.KiB, 8, 2 }}
+	for _, name := range []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE", "hams-SW"} {
+		p, err := New(name, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ctl := p.(interface{ Controller() *core.Controller }).Controller()
+		if ctl.PageBytes() != 4*mem.KiB || ctl.Ways() != 8 || ctl.Banks() != 2 {
+			t.Fatalf("%s: page %d, ways %d, banks %d; want 4096, 8, 2", name, ctl.PageBytes(), ctl.Ways(), ctl.Banks())
+		}
+		if pg := MappingPage(name, o); pg != 4*mem.KiB {
+			t.Fatalf("%s: mapping page %d, want 4096", name, pg)
+		}
+	}
+	if _, ok := HAMSConfig("mmap", o); ok {
+		t.Fatal("mmap reported a HAMS controller config")
 	}
 }

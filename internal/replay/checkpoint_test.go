@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hams/internal/checkpoint"
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/qos"
@@ -22,7 +23,10 @@ func cpScenario(warmup int64) replay.Scenario {
 	return replay.Scenario{
 		Name:     "cp",
 		Platform: "hams-LE",
-		PlatOpts: platform.Options{HAMSWays: 4, HAMSNVDIMM: 64 * mem.MiB, HAMSMSHRs: 4},
+		PlatOpts: platform.Options{HAMS: func(c *core.Config) {
+			c.Ways, c.MSHRs = 4, 4
+			c.SetNVDIMMBytes(64 * mem.MiB)
+		}},
 		QoS: &qos.Table{Classes: []qos.Class{
 			{Name: "svc", WayMask: 0x3},
 			{Name: "bulk", WayMask: 0xc},

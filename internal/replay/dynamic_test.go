@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"hams/internal/core"
 	"hams/internal/mem"
 	"hams/internal/platform"
 	"hams/internal/qos"
@@ -27,7 +28,7 @@ func dynScenario(t *testing.T, traced bool) replay.Scenario {
 	sc := replay.Scenario{
 		Name:     "dynamic",
 		Platform: "hams-LE",
-		PlatOpts: platform.Options{HAMSWays: 4},
+		PlatOpts: platform.Options{HAMS: func(c *core.Config) { c.Ways = 4 }},
 		QoS: &qos.Table{Classes: []qos.Class{
 			{Name: "svc"},
 			{Name: "bulk"},
@@ -100,7 +101,10 @@ func sloScenario(t *testing.T, traced bool) replay.Scenario {
 	sc := replay.Scenario{
 		Name:     "slo",
 		Platform: "hams-LE",
-		PlatOpts: platform.Options{HAMSWays: 8, HAMSNVDIMM: 64 * mem.MiB},
+		PlatOpts: platform.Options{HAMS: func(c *core.Config) {
+			c.Ways = 8
+			c.SetNVDIMMBytes(64 * mem.MiB)
+		}},
 		QoS: &qos.Table{Classes: []qos.Class{
 			{Name: "svc", WayMask: 0xfe},
 			{Name: "bulk", WayMask: 0x01},

@@ -473,19 +473,18 @@ func run(sc Scenario, o Options, saveOnly bool) (Result, *checkpoint.Image, erro
 	if err != nil {
 		return Result{}, nil, err
 	}
-	popt := sc.PlatOpts
-	if sc.QoS != nil {
-		popt.HAMSQoS = sc.QoS
+	// QoS schedules validate against the associativity the controller
+	// is built with (1 on platforms without a MoS controller).
+	ways := 1
+	if cfg, ok := platform.HAMSConfig(sc.Platform, sc.PlatOpts); ok && cfg.Ways > 1 {
+		ways = cfg.Ways
 	}
-	ways := sc.PlatOpts.HAMSWays
-	if ways <= 0 {
-		ways = 1
-	}
+	var timeline []qos.TimedChange
 	if len(sc.Policy) > 0 {
 		if sc.QoS == nil {
 			return Result{}, nil, fmt.Errorf("replay: scenario %q schedules policy changes but has no QoS table", sc.Name)
 		}
-		timeline := make([]qos.TimedChange, len(sc.Policy))
+		timeline = make([]qos.TimedChange, len(sc.Policy))
 		for i, ch := range sc.Policy {
 			id, ok := sc.QoS.ByName(ch.Class)
 			if !ok {
@@ -496,7 +495,6 @@ func run(sc Scenario, o Options, saveOnly bool) (Result, *checkpoint.Image, erro
 		if err := qos.ValidateSchedule(timeline, sc.QoS.Len(), ways); err != nil {
 			return Result{}, nil, fmt.Errorf("replay: scenario %q: %w", sc.Name, err)
 		}
-		popt.HAMSQoSPolicy = timeline
 	}
 	var ctl *qos.Controller
 	if sc.SLO != nil {
@@ -507,7 +505,21 @@ func run(sc Scenario, o Options, saveOnly bool) (Result, *checkpoint.Image, erro
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("replay: scenario %q: %w", sc.Name, err)
 		}
-		popt.HAMSQoSController = ctl
+	}
+	popt := sc.PlatOpts
+	popt.HAMS = func(c *core.Config) {
+		if sc.PlatOpts.HAMS != nil {
+			sc.PlatOpts.HAMS(c)
+		}
+		if sc.QoS != nil {
+			c.QoS = sc.QoS
+		}
+		if timeline != nil {
+			c.QoSPolicy = timeline
+		}
+		if ctl != nil {
+			c.QoSController = ctl
+		}
 	}
 	plat, err := platform.New(sc.Platform, popt)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"hams/internal/core"
 	"hams/internal/cpu"
 	"hams/internal/experiments"
 	"hams/internal/platform"
@@ -88,7 +89,14 @@ func TestRecordReplayGoldenMSHR(t *testing.T) {
 	// run in the dirty-eviction regime, where the two pipelines
 	// schedule differently.
 	o := experiments.Options{Scale: 2e-6, Seed: 42}
-	popt := platform.Options{HAMSMSHRs: 4, HAMSNVDIMM: 32 * 1024 * 1024, HAMSPRPSlots: 32}
+	shape := func(c *core.Config) {
+		c.SetNVDIMMBytes(32 * 1024 * 1024)
+		c.PRPSlots = 32
+	}
+	popt := platform.Options{HAMS: func(c *core.Config) {
+		shape(c)
+		c.MSHRs = 4
+	}}
 	wo := workload.DefaultOptions()
 	wo.Scale = 2e-6
 	wo.Seed = 42
@@ -113,8 +121,7 @@ func TestRecordReplayGoldenMSHR(t *testing.T) {
 	if live.CPU != rep.CPU || live.Units != rep.Units {
 		t.Fatalf("MSHR replay diverged from live run:\nlive   %+v\nreplay %+v", live.CPU, rep.CPU)
 	}
-	bopt := popt
-	bopt.HAMSMSHRs = 0
+	bopt := platform.Options{HAMS: shape}
 	blocking, err := experiments.Run("hams-LE", "rndWr", o, bopt, &wo)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +138,10 @@ func TestRecordReplayGoldenMSHR(t *testing.T) {
 // path, so a full mask must not perturb it; MBA debt still lands on
 // the requesting class only (zero here, so timings match exactly).
 func TestQoSFullMaskParityMSHR(t *testing.T) {
-	popt := platform.Options{HAMSMSHRs: 4, HAMSNVDIMM: 64 * 1024 * 1024}
+	popt := platform.Options{HAMS: func(c *core.Config) {
+		c.MSHRs = 4
+		c.SetNVDIMMBytes(64 * 1024 * 1024)
+	}}
 	base := replay.Scenario{
 		Name:     "parity-mshr",
 		Platform: "hams-LE",

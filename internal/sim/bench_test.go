@@ -46,16 +46,17 @@ func BenchmarkScheduleCallDeepHeap(b *testing.B) {
 	e.Drain()
 }
 
-// BenchmarkScheduleClosureAdvance is the closure-form counterpart of
-// BenchmarkScheduleCallAdvance — the before/after pair documents what
-// ScheduleCall buys on the hot path.
+// BenchmarkScheduleClosureAdvance schedules a fresh closure per event
+// (through the tests' call adapter) — the before/after pair with
+// BenchmarkScheduleCallAdvance documents what a persistent Handler
+// buys on the hot path.
 func BenchmarkScheduleClosureAdvance(b *testing.B) {
 	e := NewEngine()
 	var fired int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := Time(i) * 10
-		e.Schedule(t+5, func(Time) { fired++ })
+		schedule(e, t+5, func(Time) { fired++ })
 		e.AdvanceTo(t + 10)
 	}
 	if fired != int64(b.N) {

@@ -61,7 +61,7 @@ func Ablation(o Options) (*stats.Table, error) {
 		return nil, err
 	}
 	for i, r := range rows {
-		base, v := res[2*i], res[2*i+1]
+		base, v := res[2*i].run, res[2*i+1].run
 		ratio := 0.0
 		if base.UnitsPerSec() > 0 {
 			ratio = v.UnitsPerSec() / base.UnitsPerSec()

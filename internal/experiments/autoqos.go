@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"hams/internal/qos"
-	"hams/internal/replay"
-	"hams/internal/report"
 	"hams/internal/sim"
 	"hams/internal/stats"
 )
@@ -77,6 +74,18 @@ func autoTable() *qos.Table {
 	}}
 }
 
+// autoVariant is the auto cell: the initially partitioned table under
+// the SLO feedback controller.
+func autoVariant(o Options) qosVariant {
+	slo := autoSLO(o)
+	return qosVariant{name: autoVariantName, qos: autoTable(), slo: &slo}
+}
+
+// autoQoSCell runs the feedback-controlled variant.
+func autoQoSCell(o Options, seed int64) (qosOut, error) {
+	return qosCell(o, autoVariant(o), seed)
+}
+
 // AutoQoS runs the dynamic-vs-static sweep (console tables only).
 func AutoQoS(o Options) ([]*stats.Table, error) {
 	tables, _, err := AutoQoSWithSummary(o)
@@ -86,41 +95,13 @@ func AutoQoS(o Options) ([]*stats.Table, error) {
 // AutoQoSWithSummary runs the sweep and also renders the markdown
 // controller-vs-static delta table for CI step summaries.
 func AutoQoSWithSummary(o Options) ([]*stats.Table, string, error) {
-	if err := ValidateQoSOverrides(o.QoSMasks, o.QoSMBps); err != nil {
-		return nil, "", err
-	}
-	variants := qosVariants(o)
-	jobs := make([]cellJob, 0, len(variants)+1)
-	for _, v := range variants {
-		v := v
-		jobs = append(jobs, cellJob{
-			key:     qosScenario + "/" + v.name + "@" + qosPlatform,
-			seedKey: qosScenario,
-			fn: func(ctx context.Context, seed int64) (any, error) {
-				return qosCell(o, v, seed)
-			},
-		})
-	}
-	jobs = append(jobs, cellJob{
-		key:     qosScenario + "/" + autoVariantName + "@" + qosPlatform,
-		seedKey: qosScenario,
-		fn: func(ctx context.Context, seed int64) (any, error) {
-			return autoQoSCell(o, seed)
-		},
-	})
-	vals, err := runCellJobs(o, "autoqos", jobs)
+	outs, err := qosSweep(o, "autoqos", append(qosVariants(o), autoVariant(o)))
 	if err != nil {
 		return nil, "", err
 	}
 	t := stats.NewTable("AutoQoS: SLO feedback control vs static CLOS policies",
 		"scenario", "policy", "tenant", "p50", "p95", "p99", "occ(pages)", "fill MB/s", "throttled", "units/s", "reconfigs")
-	outs := make([]qosOut, 0, len(vals))
-	for _, val := range vals {
-		q, ok := val.(qosOut)
-		if !ok {
-			return nil, "", fmt.Errorf("experiments: autoqos cell returned %T", val)
-		}
-		outs = append(outs, q)
+	for _, q := range outs {
 		for _, ten := range q.rep.Tenants {
 			t.AddRow(q.rep.Scenario, q.variant, ten.Name,
 				fmt.Sprintf("%dns", ten.P50), fmt.Sprintf("%dns", ten.P95), fmt.Sprintf("%dns", ten.P99),
@@ -134,53 +115,6 @@ func AutoQoSWithSummary(o Options) ([]*stats.Table, string, error) {
 			fmt.Sprint(q.rep.QoSReconfigs))
 	}
 	return []*stats.Table{t}, AutoQoSMarkdown(outs), nil
-}
-
-// autoQoSCell runs the feedback-controlled variant.
-func autoQoSCell(o Options, seed int64) (qosOut, error) {
-	v := qosVariant{name: autoVariantName, qos: autoTable()}
-	sc := qosScenarioFor(v, seed)
-	sc.PlatOpts = o.applyMSHRs(sc.PlatOpts)
-	slo := autoSLO(o)
-	sc.SLO = &slo
-	rep, err := replay.Run(sc, replay.Options{Seed: seed})
-	if err != nil {
-		return qosOut{}, err
-	}
-	extra := make(map[string]float64, 9*len(rep.Tenants)+1+2*len(rep.QoSFinal))
-	for _, ten := range rep.Tenants {
-		extra["p50_ns:"+ten.Name] = float64(ten.P50)
-		extra["p95_ns:"+ten.Name] = float64(ten.P95)
-		extra["p99_ns:"+ten.Name] = float64(ten.P99)
-		extra["units:"+ten.Name] = float64(ten.Units)
-		extra["occ_pages:"+ten.Name] = float64(ten.QoS.Occupancy)
-		extra["occ_peak:"+ten.Name] = float64(ten.QoS.OccupancyPeak)
-		extra["fill_mbps:"+ten.Name] = ten.QoS.FillMBps(rep.CPU.Elapsed)
-		extra["wb_mbps:"+ten.Name] = ten.QoS.WBMBps(rep.CPU.Elapsed)
-		extra["throttle_ns:"+ten.Name] = float64(ten.QoS.ThrottleNS)
-	}
-	// Controller trajectory: how many reprogrammings it issued and
-	// where the policy ended up. Masks serialize as their numeric value
-	// (0 = full, matching qos.FormatMask's input convention).
-	extra["reconfigs"] = float64(rep.QoSReconfigs)
-	extra["slo_target_p99_ns"] = float64(slo.TargetP99)
-	for _, cl := range rep.QoSFinal {
-		extra["final_mask:"+cl.Name] = float64(cl.WayMask)
-		extra["final_mbps:"+cl.Name] = cl.MBps
-	}
-	return qosOut{
-		variant: autoVariantName,
-		rep:     rep,
-		cell: report.Cell{
-			Platform:    rep.Platform,
-			Scenario:    qosScenario + "/" + autoVariantName,
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra:       extra,
-		},
-	}, nil
 }
 
 // AutoQoSMarkdown renders the controller-vs-static delta table: the

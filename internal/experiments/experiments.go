@@ -7,6 +7,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hams/internal/checkpoint"
 	"hams/internal/core"
@@ -24,15 +25,17 @@ import (
 type Options struct {
 	// Scale multiplies Table III instruction counts (default 3e-6).
 	Scale float64
-	// Seed fixes workload randomness. Targets that run through the
-	// concurrent engine derive each cell's seed from this value and
-	// the cell's workload (runner.DeriveSeed), so results are
-	// identical for any worker count.
+	// Seed fixes workload randomness. Each target cell derives its
+	// seed from this value and the cell's workload (runner.DeriveSeed),
+	// so results are identical for any worker count; RunOne alone uses
+	// Seed as is.
 	Seed int64
 	// Parallel is the engine worker count: 0 = GOMAXPROCS, 1 = serial.
 	Parallel int
-	// Shuffle, when nonzero, deterministically permutes cell dispatch
-	// order (determinism testing; see runner.Engine.ShuffleSeed).
+	// Shuffle, when nonzero, deterministically permutes the order in
+	// which cells are dispatched to workers. Results do not depend on
+	// it; the determinism tests use it to prove that. Ignored when
+	// Runner is set.
 	Shuffle int64
 	// Recorder, when set, collects one report.Cell per engine cell for
 	// BENCH artifact serialization.
@@ -78,10 +81,11 @@ type Options struct {
 	Checkpoint *checkpoint.Image
 
 	// MSHRs, when nonzero, overrides the per-bank MSHR depth of every
-	// HAMS matrix cell that does not pin its own (hamsbench -mshrs):
-	// a one-flag way to regenerate any figure under the non-blocking
-	// miss pipeline. 0 keeps each target's own configuration — the
-	// blocking pipeline unless the cell opts in (the mlp sweep).
+	// HAMS cell — figure, sweep and scenario alike — that does not pin
+	// its own (hamsbench -mshrs): a one-flag way to regenerate any
+	// target under the non-blocking miss pipeline. 0 keeps each
+	// target's own configuration — the blocking pipeline unless the
+	// cell opts in (the mlp sweep).
 	MSHRs int
 }
 
@@ -107,8 +111,9 @@ func (o Options) wl() workload.Options {
 
 // applyMSHRs threads the -mshrs override into a platform option set
 // that has not pinned its own depth (the mlp sweep pins one per
-// cell). Every HAMS-cell path — the run matrix, and the replay,
-// mixed and qos scenario targets — routes its options through here.
+// cell). Every HAMS-cell path — the run matrix (every figure), RunOne,
+// and the replay, mixed and qos scenario targets — routes its options
+// through here.
 func (o Options) applyMSHRs(p platform.Options) platform.Options {
 	if o.MSHRs != 0 {
 		pinned := p.HAMS
@@ -199,14 +204,12 @@ func busyTime(st cpu.Stats) sim.Time {
 	return st.ComputeTime + cache
 }
 
-// workloadsOf filters Table III by suite kinds.
-func workloadsOf(kinds ...workload.Kind) []workload.Spec {
-	var out []workload.Spec
+// workloadsOf lists the Table III workloads of the given suite kinds.
+func workloadsOf(kinds ...workload.Kind) []string {
+	var out []string
 	for _, s := range workload.All() {
-		for _, k := range kinds {
-			if s.Kind == k {
-				out = append(out, s)
-			}
+		if slices.Contains(kinds, s.Kind) {
+			out = append(out, s.Name)
 		}
 	}
 	return out

@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hams/internal/core"
 	"hams/internal/cpu"
 	"hams/internal/mem"
-	"hams/internal/osmodel"
 	"hams/internal/pcie"
 	"hams/internal/platform"
 	"hams/internal/report"
@@ -187,88 +187,90 @@ func Fig5(o Options) ([]*stats.Table, error) {
 // ---------------------------------------------------------------------
 // Fig. 6: MMF-based system performance across SSDs.
 
-// Fig6 regenerates both panels.
+// Fig6 regenerates both panels. Every (workload, SSD) point is one
+// mmap cell over that SSD.
 func Fig6(o Options) ([]*stats.Table, error) {
 	ssds := []string{"sata", "nvme", "ull"}
 	labels := []string{"SATA-SSD", "NVMe-SSD", "ULL-Flash"}
+	micro := []string{"seqRd", "rndRd", "seqWr", "rndWr"}
+	sqlite := []string{"seqSel", "rndSel", "seqIns", "rndIns", "update"}
+
+	var cells []matrixCell
+	for _, wl := range slices.Concat(micro, sqlite) {
+		for _, s := range ssds {
+			cells = append(cells, matrixCell{
+				key: wl + "/mmap-" + s, platform: "mmap", workload: wl,
+				popt: platform.Options{MmapSSD: s}, extra: layerExtras,
+			})
+		}
+	}
+	res, err := runMatrix(o, "fig6", cells)
+	if err != nil {
+		return nil, err
+	}
 
 	a := stats.NewTable("Fig. 6a: mmap-bench bandwidth (MB/s)",
 		append([]string{"workload"}, labels...)...)
-	for _, wl := range []string{"seqRd", "rndRd", "seqWr", "rndWr"} {
-		row := []string{wl}
-		for _, s := range ssds {
-			r, err := Run("mmap", wl, o, platform.Options{MmapSSD: s}, nil)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.F(r.UnitsPerSec()*4096/1e6)) // pages/s -> MB/s
-		}
-		a.AddRow(row...)
-	}
-
+	res = addRows(a, micro, len(ssds), res, func(m matrixOut) string {
+		return stats.F(m.run.UnitsPerSec() * 4096 / 1e6) // pages/s -> MB/s
+	})
 	b := stats.NewTable("Fig. 6b: SQLite latency per op (us)",
 		append([]string{"workload"}, labels...)...)
-	for _, wl := range []string{"seqSel", "rndSel", "seqIns", "rndIns", "update"} {
-		row := []string{wl}
-		for _, s := range ssds {
-			r, err := Run("mmap", wl, o, platform.Options{MmapSSD: s}, nil)
-			if err != nil {
-				return nil, err
-			}
-			if r.Units > 0 {
-				row = append(row, stats.F(float64(r.CPU.Elapsed)/1000/float64(r.Units)))
-			} else {
-				row = append(row, "-")
-			}
+	addRows(b, sqlite, len(ssds), res, func(m matrixOut) string {
+		if m.run.Units <= 0 {
+			return "-"
 		}
-		b.AddRow(row...)
-	}
+		return stats.F(float64(m.run.CPU.Elapsed) / 1000 / float64(m.run.Units))
+	})
 	return []*stats.Table{a, b}, nil
+}
+
+// addRows renders one row per workload, each from the next width
+// results, and returns the results past them.
+func addRows(t *stats.Table, wls []string, width int, res []matrixOut, cell func(matrixOut) string) []matrixOut {
+	for _, wl := range wls {
+		row := []string{wl}
+		for _, m := range res[:width] {
+			row = append(row, cell(m))
+		}
+		t.AddRow(row...)
+		res = res[width:]
+	}
+	return res
 }
 
 // ---------------------------------------------------------------------
 // Fig. 7: software overheads and bypass IPC.
 
-var fig7Workloads = []string{"rndRd", "rndWr", "seqRd", "seqWr", "rndIns", "seqIns", "update", "rndSel", "seqSel"}
-
-// mmfExposer lets the harness reach the MMF model inside the mmap
-// platform without exporting the concrete type.
-type mmfExposer interface{ MMF() *osmodel.MMF }
+var (
+	fig7Workloads = []string{"rndRd", "rndWr", "seqRd", "seqWr", "rndIns", "seqIns", "update", "rndSel", "seqSel"}
+	// fig7Plats: mmap and its NVDIMM oracle (panel a), then the oracle
+	// and the two bypass strategies (panel b).
+	fig7Plats = []string{"mmap", "oracle", "ull-direct", "ull-buff"}
+)
 
 // Fig7 regenerates the execution breakdown (a) and bypass IPC (b).
 func Fig7(o Options) ([]*stats.Table, error) {
+	res, err := runMatrix(o, "fig7", grid(fig7Workloads, fig7Plats))
+	if err != nil {
+		return nil, err
+	}
 	a := stats.NewTable("Fig. 7a: mmap execution breakdown (shares) + degradation vs NVDIMM",
 		"workload", "mmap", "I/O stack", "SSD", "CPU", "degradation")
-	for _, wl := range fig7Workloads {
-		r, err := Run("mmap", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		ms := r.Plat.(mmfExposer).MMF().Stats()
-		total := float64(r.CPU.Elapsed)
-		if total <= 0 {
-			continue
-		}
-		sh := stats.Shares(float64(ms.MmapTime), float64(ms.StackTime), float64(ms.SSDTime),
-			total-float64(ms.MmapTime+ms.StackTime+ms.SSDTime))
-		or, err := Run("oracle", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		deg := 1 - float64(or.CPU.Elapsed)/total
-		a.AddRow(wl, stats.Pct(sh[0]), stats.Pct(sh[1]), stats.Pct(sh[2]), stats.Pct(sh[3]), stats.Pct(deg))
-	}
-
 	b := stats.NewTable("Fig. 7b: IPC of bypass strategies",
 		"workload", "NVDIMM", "ULL", "ULL-buff")
-	for _, wl := range fig7Workloads {
+	for w, wl := range fig7Workloads {
+		pts := res[w*len(fig7Plats) : (w+1)*len(fig7Plats)]
+		if total := float64(pts[0].run.CPU.Elapsed); total > 0 {
+			ex := pts[0].cell.Extra
+			mm, st, sd := ex["layer_ns:mmap"], ex["layer_ns:io_stack"], ex["layer_ns:ssd"]
+			sh := stats.Shares(mm, st, sd, total-(mm+st+sd))
+			deg := 1 - float64(pts[1].run.CPU.Elapsed)/total
+			a.AddRow(wl, stats.Pct(sh[0]), stats.Pct(sh[1]), stats.Pct(sh[2]), stats.Pct(sh[3]), stats.Pct(deg))
+		}
 		row := []string{wl}
-		for _, pn := range []string{"oracle", "ull-direct", "ull-buff"} {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.4f", r.CPU.IPC(cpu.DefaultConfig())))
+		for _, m := range pts[1:] {
+			row = append(row, fmt.Sprintf("%.4f", m.run.CPU.IPC(cpu.DefaultConfig())))
 		}
 		b.AddRow(row...)
 	}
@@ -278,25 +280,26 @@ func Fig7(o Options) ([]*stats.Table, error) {
 // ---------------------------------------------------------------------
 // Fig. 10a: DMA share of AMAT under baseline (loose) HAMS.
 
-// hamsExposer reaches the controller inside a HAMS platform.
-type hamsExposer interface{ Controller() *core.Controller }
+// ctlDelay sums a HAMS cell's controller delay split (layerExtras).
+func ctlDelay(ex map[string]float64) float64 {
+	return ex["layer_ns:nvdimm"] + ex["layer_ns:dma"] + ex["layer_ns:ssd"] + ex["layer_ns:wait"]
+}
 
 // Fig10 regenerates the DMA-overhead fractions.
 func Fig10(o Options) (*stats.Table, error) {
+	res, err := runMatrix(o, "fig10", grid(fig7Workloads, []string{"hams-LE"}))
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 10a: interface/DMA share of memory access time (hams-L)",
 		"workload", "DMA share")
-	for _, wl := range fig7Workloads {
-		r, err := Run("hams-LE", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		cs := r.Plat.(hamsExposer).Controller().Stats()
-		den := float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
-		if den <= 0 {
+	for i, wl := range fig7Workloads {
+		ex := res[i].cell.Extra
+		if den := ctlDelay(ex); den > 0 {
+			t.AddRow(wl, stats.Pct(ex["layer_ns:dma"]/den))
+		} else {
 			t.AddRow(wl, "-")
-			continue
 		}
-		t.AddRow(wl, stats.Pct(float64(cs.DMATime)/den))
 	}
 	return t, nil
 }
@@ -305,90 +308,70 @@ func Fig10(o Options) (*stats.Table, error) {
 // Fig. 16: application performance across the 11 platforms.
 
 // Fig16 regenerates both panels: K pages/s (micro + Rodinia) and SQL
-// ops/s (SQLite). The full 11-platform × 12-workload matrix runs as
-// independent engine cells — the heaviest figure and the biggest win
-// from parallelism.
+// ops/s (SQLite) over the full 11-platform × 12-workload matrix — the
+// heaviest figure and the biggest win from parallelism.
 func Fig16(o Options) ([]*stats.Table, error) {
 	plats := platform.Names()
 	micro := workloadsOf(workload.Micro, workload.Rodinia)
 	sqlite := workloadsOf(workload.SQLite)
-
-	var cells []matrixCell
-	for _, s := range append(append([]workload.Spec{}, micro...), sqlite...) {
-		for _, pn := range plats {
-			cells = append(cells, matrixCell{
-				key: s.Name + "/" + pn, platform: pn, workload: s.Name,
-			})
-		}
-	}
-	res, err := runMatrix(o, "fig16", cells)
+	res, err := runMatrix(o, "fig16", grid(slices.Concat(micro, sqlite), plats))
 	if err != nil {
 		return nil, err
 	}
 
 	a := stats.NewTable("Fig. 16a: app performance (K pages/s)",
 		append([]string{"workload"}, plats...)...)
-	i := 0
-	for _, s := range micro {
-		row := []string{s.Name}
-		for range plats {
-			row = append(row, stats.F(res[i].UnitsPerSec()/1000))
-			i++
-		}
-		a.AddRow(row...)
-	}
-
+	res = addRows(a, micro, len(plats), res, func(m matrixOut) string {
+		return stats.F(m.run.UnitsPerSec() / 1000)
+	})
 	b := stats.NewTable("Fig. 16b: SQLite performance (ops/s)",
 		append([]string{"workload"}, plats...)...)
-	for _, s := range sqlite {
-		row := []string{s.Name}
-		for range plats {
-			row = append(row, stats.F(res[i].UnitsPerSec()))
-			i++
-		}
-		b.AddRow(row...)
-	}
+	addRows(b, sqlite, len(plats), res, func(m matrixOut) string {
+		return stats.F(m.run.UnitsPerSec())
+	})
 	return []*stats.Table{a, b}, nil
 }
 
 // ---------------------------------------------------------------------
 // Fig. 17: system-level execution-time breakdown.
 
-var fig17Plats = []string{"mmap", "hams-LP", "hams-LE", "hams-TP", "hams-TE"}
+var (
+	hamsPlats = []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE"}
+	// mmapVsHAMS is the grid of Figs. 17 and 19 and the headline: the
+	// software baseline first, so each workload's base leads its row.
+	mmapVsHAMS = append([]string{"mmap"}, hamsPlats...)
+)
 
 // Fig17 regenerates the normalized execution breakdown.
 func Fig17(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runMatrix(o, "fig17", grid(wls, mmapVsHAMS))
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 17: execution time breakdown, normalized to mmap",
 		"workload", "platform", "OS", "SSD", "app", "norm. total")
-	for _, wl := range workload.Names() {
+	for w, wl := range wls {
 		spec, err := workload.ByName(wl)
 		if err != nil {
 			return nil, err
 		}
 		threads := float64(spec.Threads)
-		var mmapElapsed float64
-		for _, pn := range fig17Plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
+		pts := res[w*len(mmapVsHAMS) : (w+1)*len(mmapVsHAMS)]
+		mmapElapsed := float64(pts[0].run.CPU.Elapsed)
+		for _, m := range pts {
+			r := m.run
 			total := float64(r.CPU.Elapsed)
-			if pn == "mmap" {
-				mmapElapsed = total
-			}
 			// OS/SSD times accumulate across cores; fold them back to
 			// wall-clock shares before normalizing to the mmap bar.
 			osT := float64(r.CPU.OSTime) / threads
 			ssdT := float64(r.CPU.SSDTime+r.CPU.DMATime) / threads
-			app := total - osT - ssdT
-			if app < 0 {
-				app = 0
-			}
+			app := max(total-osT-ssdT, 0)
 			norm := 0.0
 			if mmapElapsed > 0 {
 				norm = total / mmapElapsed
 			}
-			t.AddRow(wl, pn,
+			t.AddRow(wl, r.Platform,
 				stats.F(osT/mmapElapsed), stats.F(ssdT/mmapElapsed), stats.F(app/mmapElapsed),
 				stats.F(norm))
 		}
@@ -402,29 +385,26 @@ func Fig17(o Options) (*stats.Table, error) {
 // Fig18 regenerates the NVDIMM/DMA/SSD decomposition, normalized to
 // hams-LP per workload.
 func Fig18(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runMatrix(o, "fig18", grid(wls, hamsPlats))
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 18: memory delay breakdown (normalized to hams-LP)",
 		"workload", "platform", "NVDIMM", "DMA", "SSD", "wait", "norm. total")
-	hamses := []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE"}
-	for _, wl := range workload.Names() {
-		var base float64
-		for _, pn := range hamses {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			cs := r.Plat.(hamsExposer).Controller().Stats()
-			total := float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
-			if pn == "hams-LP" {
-				base = total
-			}
+	for w, wl := range wls {
+		pts := res[w*len(hamsPlats) : (w+1)*len(hamsPlats)]
+		base := ctlDelay(pts[0].cell.Extra)
+		for _, m := range pts {
 			if base <= 0 {
-				t.AddRow(wl, pn, "-", "-", "-", "-", "-")
+				t.AddRow(wl, m.run.Platform, "-", "-", "-", "-", "-")
 				continue
 			}
-			t.AddRow(wl, pn,
-				stats.F(float64(cs.NVDIMMTime)/base), stats.F(float64(cs.DMATime)/base),
-				stats.F(float64(cs.SSDTime)/base), stats.F(float64(cs.WaitTime)/base),
-				stats.F(total/base))
+			ex := m.cell.Extra
+			t.AddRow(wl, m.run.Platform,
+				stats.F(ex["layer_ns:nvdimm"]/base), stats.F(ex["layer_ns:dma"]/base),
+				stats.F(ex["layer_ns:ssd"]/base), stats.F(ex["layer_ns:wait"]/base),
+				stats.F(ctlDelay(ex)/base))
 		}
 	}
 	return t, nil
@@ -435,23 +415,22 @@ func Fig18(o Options) (*stats.Table, error) {
 
 // Fig19 regenerates the four-component energy decomposition.
 func Fig19(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runMatrix(o, "fig19", grid(wls, mmapVsHAMS))
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 19: energy breakdown (normalized to mmap)",
 		"workload", "platform", "CPU", "NVDIMM", "int. DRAM", "Z-NAND", "norm. total")
-	for _, wl := range workload.Names() {
-		var base float64
-		for _, pn := range fig17Plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			e := r.Energy
-			if pn == "mmap" {
-				base = e.Total()
-			}
-			if base <= 0 {
-				continue
-			}
-			t.AddRow(wl, pn,
+	for w, wl := range wls {
+		pts := res[w*len(mmapVsHAMS) : (w+1)*len(mmapVsHAMS)]
+		base := pts[0].run.Energy.Total()
+		if base <= 0 {
+			continue
+		}
+		for _, m := range pts {
+			e := m.run.Energy
+			t.AddRow(wl, m.run.Platform,
 				stats.F(e.CPU/base), stats.F(e.NVDIMM/base),
 				stats.F(e.InternalDRAM/base), stats.F(e.ZNAND/base),
 				stats.F(e.Total()/base))
@@ -496,28 +475,13 @@ func Fig20(o Options) ([]*stats.Table, error) {
 		return nil, err
 	}
 
+	opsPerSec := func(m matrixOut) string { return stats.F(m.run.UnitsPerSec()) }
 	a := stats.NewTable("Fig. 20a: SQLite ops/s vs MoS page size (hams-TE)",
 		"workload", "4KB", "16KB", "64KB", "128KB", "256KB", "1MB")
-	i := 0
-	for _, wl := range sqlite {
-		row := []string{wl}
-		for range pages {
-			row = append(row, stats.F(res[i].UnitsPerSec()))
-			i++
-		}
-		a.AddRow(row...)
-	}
-
+	res = addRows(a, sqlite, len(pages), res, opsPerSec)
 	b := stats.NewTable("Fig. 20b: 44GB-footprint stress (ops/s)",
 		"workload", "mmap", "hams-TE", "oracle")
-	for _, wl := range sqlite {
-		row := []string{wl}
-		for range stressPlats {
-			row = append(row, stats.F(res[i].UnitsPerSec()))
-			i++
-		}
-		b.AddRow(row...)
-	}
+	addRows(b, sqlite, len(stressPlats), res, opsPerSec)
 	return []*stats.Table{a, b}, nil
 }
 
@@ -527,45 +491,31 @@ func Fig20(o Options) ([]*stats.Table, error) {
 // Headline reports the paper's abstract-level claims: MIPS and energy
 // of the HAMS variants relative to mmap, averaged over all workloads.
 func Headline(o Options) (*stats.Table, error) {
-	t := stats.NewTable("Headline: HAMS vs software (mmap) NVDIMM design",
-		"platform", "avg MIPS ratio", "avg energy ratio", "avg NVDIMM hit rate")
-	plats := []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE"}
-	type agg struct {
-		mips, energyR, hit float64
-		n                  int
+	wls := workload.Names()
+	res, err := runMatrix(o, "headline", grid(wls, mmapVsHAMS))
+	if err != nil {
+		return nil, err
 	}
-	sums := make(map[string]*agg)
-	for _, pn := range plats {
-		sums[pn] = &agg{}
-	}
-	for _, wl := range workload.Names() {
-		base, err := Run("mmap", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, pn := range plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			s := sums[pn]
+	n := len(hamsPlats)
+	mips, energyR, hit := make([]float64, n), make([]float64, n), make([]float64, n)
+	for w := range wls {
+		pts := res[w*len(mmapVsHAMS) : (w+1)*len(mmapVsHAMS)]
+		base := pts[0].run
+		for k, m := range pts[1:] {
 			if base.CPU.MIPS() > 0 {
-				s.mips += r.CPU.MIPS() / base.CPU.MIPS()
+				mips[k] += m.run.CPU.MIPS() / base.CPU.MIPS()
 			}
 			if base.Energy.Total() > 0 {
-				s.energyR += r.Energy.Total() / base.Energy.Total()
+				energyR[k] += m.run.Energy.Total() / base.Energy.Total()
 			}
-			s.hit += r.Plat.(hamsExposer).Controller().Stats().HitRate()
-			s.n++
+			hit[k] += m.cell.HitRate
 		}
 	}
-	for _, pn := range plats {
-		s := sums[pn]
-		if s.n == 0 {
-			continue
-		}
-		n := float64(s.n)
-		t.AddRow(pn, stats.Ratio(s.mips/n), stats.Ratio(s.energyR/n), stats.Pct(s.hit/n))
+	t := stats.NewTable("Headline: HAMS vs software (mmap) NVDIMM design",
+		"platform", "avg MIPS ratio", "avg energy ratio", "avg NVDIMM hit rate")
+	nw := float64(len(wls))
+	for k, pn := range hamsPlats {
+		t.AddRow(pn, stats.Ratio(mips[k]/nw), stats.Ratio(energyR[k]/nw), stats.Pct(hit[k]/nw))
 	}
 	return t, nil
 }

@@ -105,7 +105,8 @@ func MLPSweep(o Options) ([]*stats.Table, error) {
 	}
 	byWL := map[string]*stats.Table{}
 	var tabs []*stats.Table
-	for i, r := range res {
+	for i, m := range res {
+		r := m.run
 		wl := mlpWorkloads[i/len(points)]
 		tab, ok := byWL[wl]
 		if !ok {

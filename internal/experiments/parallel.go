@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"hams/internal/core"
+	"hams/internal/osmodel"
 	"hams/internal/platform"
 	"hams/internal/report"
 	"hams/internal/runner"
@@ -87,6 +89,14 @@ func reportCellFor(target string, r runner.Result) report.Cell {
 	return c
 }
 
+// hamsExposer reaches the controller inside a HAMS platform, and
+// mmfExposer the MMF model inside the mmap platform, without exporting
+// the concrete platform types.
+type (
+	hamsExposer interface{ Controller() *core.Controller }
+	mmfExposer  interface{ MMF() *osmodel.MMF }
+)
+
 // runReportCell extracts one Run's artifact metrics. It must be called
 // while the result still holds its platform (Plat carries the hit-rate
 // counters).
@@ -105,11 +115,37 @@ func runReportCell(v RunResult) report.Cell {
 	return c
 }
 
+// layerExtras is a grid cell's extra hook: the per-layer split of its
+// simulated time as "layer_ns:<layer>" metrics. A HAMS platform records
+// the controller's NVDIMM/DMA/SSD/wait split (Figs. 10a, 18), mmap the
+// MMF's fault/I-O-stack/SSD split (Fig. 7a); other platforms none.
+func layerExtras(r RunResult) map[string]float64 {
+	switch p := r.Plat.(type) {
+	case hamsExposer:
+		cs := p.Controller().Stats()
+		return map[string]float64{
+			"layer_ns:nvdimm": float64(cs.NVDIMMTime),
+			"layer_ns:dma":    float64(cs.DMATime),
+			"layer_ns:ssd":    float64(cs.SSDTime),
+			"layer_ns:wait":   float64(cs.WaitTime),
+		}
+	case mmfExposer:
+		ms := p.MMF().Stats()
+		return map[string]float64{
+			"layer_ns:mmap":     float64(ms.MmapTime),
+			"layer_ns:io_stack": float64(ms.StackTime),
+			"layer_ns:ssd":      float64(ms.SSDTime),
+		}
+	}
+	return nil
+}
+
 // matrixCell is the common cell shape: one Run of a workload on a
 // platform under a config. keepPlat retains the simulated platform on
 // the result for callers that read controller stats afterwards (the
-// sweep); all other cells drop it inside the worker so a wide matrix
-// doesn't hold every platform's device state until the figure renders.
+// sweep, mlp); all other cells drop it inside the worker so a wide
+// matrix doesn't hold every platform's device state until the figure
+// renders — what a table needs from the platform rides in extra.
 type matrixCell struct {
 	key      string
 	platform string
@@ -124,7 +160,8 @@ type matrixCell struct {
 }
 
 // matrixOut pairs a cell's RunResult with its artifact record,
-// precomputed while the platform was still attached.
+// precomputed while the platform was still attached. Tables that read
+// the record (extras, hit rate) render exactly what the artifact holds.
 type matrixOut struct {
 	run  RunResult
 	cell report.Cell
@@ -132,40 +169,31 @@ type matrixOut struct {
 
 func (m matrixOut) reportCell() report.Cell { return m.cell }
 
+// grid lays out one cell per (workload, platform) point, workload-major,
+// keyed "<workload>/<platform>", each recording its per-layer split.
+func grid(wls, plats []string) []matrixCell {
+	cells := make([]matrixCell, 0, len(wls)*len(plats))
+	for _, wl := range wls {
+		for _, pn := range plats {
+			cells = append(cells, matrixCell{key: wl + "/" + pn, platform: pn, workload: wl, extra: layerExtras})
+		}
+	}
+	return cells
+}
+
 // runMatrix executes a (platform × workload × config) matrix through
-// the engine and returns RunResults in cell order. Each cell's
+// the engine and returns its outputs in cell order. Each cell's
 // workload seed derives from (Options.Seed, workload name), so the
 // same workload stays stream-paired across platforms and configs —
 // the paired-comparison property every "X vs Y" figure relies on.
-func runMatrix(o Options, target string, cells []matrixCell) ([]RunResult, error) {
+func runMatrix(o Options, target string, cells []matrixCell) ([]matrixOut, error) {
 	jobs := make([]cellJob, len(cells))
-	for i, c := range cells {
-		mc := c
-		mc.popt = o.applyMSHRs(mc.popt)
+	for i, mc := range cells {
 		jobs[i] = cellJob{
 			key:     mc.key,
 			seedKey: mc.workload,
 			fn: func(ctx context.Context, seed int64) (any, error) {
-				co := o
-				co.Seed = seed
-				wopt := mc.wopt
-				if wopt != nil {
-					w := *wopt
-					w.Seed = seed
-					wopt = &w
-				}
-				r, err := Run(mc.platform, mc.workload, co, mc.popt, wopt)
-				if err != nil {
-					return nil, err
-				}
-				out := matrixOut{run: r, cell: runReportCell(r)}
-				if mc.extra != nil {
-					out.cell.Extra = mc.extra(r)
-				}
-				if !mc.keepPlat {
-					out.run.Plat = nil
-				}
-				return out, nil
+				return mc.execute(o, seed)
 			},
 		}
 	}
@@ -173,13 +201,39 @@ func runMatrix(o Options, target string, cells []matrixCell) ([]RunResult, error
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RunResult, len(vals))
+	out := make([]matrixOut, len(vals))
 	for i, v := range vals {
 		mo, ok := v.(matrixOut)
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s cell %s returned %T", target, cells[i].key, v)
 		}
-		out[i] = mo.run
+		out[i] = mo
+	}
+	return out, nil
+}
+
+// execute is the body of every matrix cell: one Run at the cell's seed,
+// under the -mshrs override, with the artifact record taken while the
+// platform is still attached.
+func (mc matrixCell) execute(o Options, seed int64) (matrixOut, error) {
+	co := o
+	co.Seed = seed
+	wopt := mc.wopt
+	if wopt != nil {
+		w := *wopt
+		w.Seed = seed
+		wopt = &w
+	}
+	r, err := Run(mc.platform, mc.workload, co, o.applyMSHRs(mc.popt), wopt)
+	if err != nil {
+		return matrixOut{}, err
+	}
+	out := matrixOut{run: r, cell: runReportCell(r)}
+	if mc.extra != nil {
+		out.cell.Extra = mc.extra(r)
+	}
+	if !mc.keepPlat {
+		out.run.Plat = nil
 	}
 	return out, nil
 }
@@ -192,22 +246,13 @@ func runMatrix(o Options, target string, cells []matrixCell) ([]RunResult, error
 // no sibling cells to stay decorrelated from, and hamssim's documented
 // -seed semantics predate the engine.
 func RunOne(o Options, platName, wlName string, popt platform.Options) (RunResult, error) {
-	popt = o.applyMSHRs(popt)
-	jobs := []cellJob{{
+	mc := matrixCell{platform: platName, workload: wlName, popt: popt}
+	vals, err := runCellJobs(o, "run", []cellJob{{
 		key: wlName + "@" + platName,
 		fn: func(ctx context.Context, seed int64) (any, error) {
-			co := o
-			co.Seed = seed
-			r, err := Run(platName, wlName, co, popt, nil)
-			if err != nil {
-				return nil, err
-			}
-			out := matrixOut{run: r, cell: runReportCell(r)}
-			out.run.Plat = nil
-			return out, nil
+			return mc.execute(o, seed)
 		},
-	}}
-	vals, err := runCellJobs(o, "run", jobs)
+	}})
 	if err != nil {
 		return RunResult{}, err
 	}

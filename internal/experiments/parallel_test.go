@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +68,15 @@ func renderAll(t *testing.T, o Options) string {
 	}
 	for _, tb := range ml {
 		b.WriteString(tb.String())
+	}
+	for _, name := range []string{"fig6", "fig7", "fig10", "fig17", "fig18", "fig19", "headline"} {
+		tbs, err := RunTarget(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range tbs {
+			b.WriteString(tb.String())
+		}
 	}
 	return b.String()
 }
@@ -138,6 +148,39 @@ func TestFigureCancellation(t *testing.T) {
 	}
 	if _, err := AssocShardSweep(o); err == nil {
 		t.Fatal("cancelled sweep returned no error")
+	}
+	if _, err := Fig17(o); err == nil {
+		t.Fatal("cancelled Fig17 returned no error")
+	}
+}
+
+// Figures that share a (workload, platform) point run the same cell:
+// both draw DeriveSeed(seed, workload) under default options, so fig17
+// and fig16 must agree on every deterministic field but the key.
+func TestGridCellsPairedAcrossFigures(t *testing.T) {
+	cellOf := func(run func(Options) error, key string) report.Cell {
+		t.Helper()
+		o := tiny
+		o.Recorder = &report.Recorder{}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range report.CanonicalCells(o.Recorder.Cells()) {
+			if c.Key == key {
+				c.Key, c.Target = "", ""
+				return c
+			}
+		}
+		t.Fatalf("no cell %s", key)
+		return report.Cell{}
+	}
+	f16 := cellOf(func(o Options) error { _, err := Fig16(o); return err }, "fig16/rndWr/hams-TE")
+	f17 := cellOf(func(o Options) error { _, err := Fig17(o); return err }, "fig17/rndWr/hams-TE")
+	if !reflect.DeepEqual(f16, f17) {
+		t.Fatalf("fig16 and fig17 disagree on rndWr/hams-TE:\n%+v\n%+v", f16, f17)
+	}
+	if f17.Extra["layer_ns:dma"] <= 0 {
+		t.Fatalf("grid cell carries no per-layer split: %+v", f17.Extra)
 	}
 }
 

@@ -30,10 +30,13 @@ import (
 // bandwidth counters land in report.Cell.Extra, and the CI step
 // summary renders the victim's p99 across policies (QoSMarkdown).
 
-// qosVariant is one CLOS policy applied to the scenario.
+// qosVariant is one CLOS policy applied to the scenario. With slo set
+// the table is only the starting point: the SLO feedback controller
+// reprograms it at run time (the autoqos target's auto cell).
 type qosVariant struct {
 	name string
 	qos  *qos.Table
+	slo  *qos.SLO
 }
 
 // qosClassNames are the CLOS labels of the built-in scenario; CLI
@@ -127,10 +130,10 @@ func qosTable(o Options, partitioned, throttled bool) *qos.Table {
 // qosVariants builds the policy sweep.
 func qosVariants(o Options) []qosVariant {
 	return []qosVariant{
-		{"shared", qosTable(o, false, false)},
-		{"cat", qosTable(o, true, false)},
-		{"mba", qosTable(o, false, true)},
-		{"cat+mba", qosTable(o, true, true)},
+		{name: "shared", qos: qosTable(o, false, false)},
+		{name: "cat", qos: qosTable(o, true, false)},
+		{name: "mba", qos: qosTable(o, false, true)},
+		{name: "cat+mba", qos: qosTable(o, true, true)},
 	}
 }
 
@@ -169,6 +172,7 @@ func qosScenarioFor(v qosVariant, seed int64) replay.Scenario {
 			},
 		},
 		QoS: v.qos,
+		SLO: v.slo,
 	}
 }
 
@@ -190,34 +194,13 @@ func QoS(o Options) ([]*stats.Table, error) {
 // QoSWithSummary runs the isolation sweep and also renders the
 // markdown victim-delta table for CI step summaries.
 func QoSWithSummary(o Options) ([]*stats.Table, string, error) {
-	if err := ValidateQoSOverrides(o.QoSMasks, o.QoSMBps); err != nil {
-		return nil, "", err
-	}
-	variants := qosVariants(o)
-	jobs := make([]cellJob, len(variants))
-	for i, v := range variants {
-		v := v
-		jobs[i] = cellJob{
-			key:     qosScenario + "/" + v.name + "@" + qosPlatform,
-			seedKey: qosScenario,
-			fn: func(ctx context.Context, seed int64) (any, error) {
-				return qosCell(o, v, seed)
-			},
-		}
-	}
-	vals, err := runCellJobs(o, "qos", jobs)
+	outs, err := qosSweep(o, "qos", qosVariants(o))
 	if err != nil {
 		return nil, "", err
 	}
 	t := stats.NewTable("QoS: RDT-style isolation — partitioned vs unpartitioned co-location",
 		"scenario", "policy", "tenant", "p50", "p95", "p99", "occ(pages)", "fill MB/s", "wb MB/s", "throttled", "units/s")
-	outs := make([]qosOut, 0, len(vals))
-	for _, val := range vals {
-		q, ok := val.(qosOut)
-		if !ok {
-			return nil, "", fmt.Errorf("experiments: qos cell returned %T", val)
-		}
-		outs = append(outs, q)
+	for _, q := range outs {
 		for _, ten := range q.rep.Tenants {
 			t.AddRow(q.rep.Scenario, q.variant, ten.Name,
 				fmt.Sprintf("%dns", ten.P50), fmt.Sprintf("%dns", ten.P95), fmt.Sprintf("%dns", ten.P99),
@@ -233,6 +216,39 @@ func QoSWithSummary(o Options) ([]*stats.Table, string, error) {
 	return []*stats.Table{t}, QoSMarkdown(outs), nil
 }
 
+// qosSweep runs the co-location scenario once per variant, each as one
+// engine cell of target, and returns the outputs in variant order. The
+// qos and autoqos targets share it; every variant draws the same seed,
+// so their common cells are identical.
+func qosSweep(o Options, target string, variants []qosVariant) ([]qosOut, error) {
+	if err := ValidateQoSOverrides(o.QoSMasks, o.QoSMBps); err != nil {
+		return nil, err
+	}
+	jobs := make([]cellJob, len(variants))
+	for i, v := range variants {
+		jobs[i] = cellJob{
+			key:     qosScenario + "/" + v.name + "@" + qosPlatform,
+			seedKey: qosScenario,
+			fn: func(ctx context.Context, seed int64) (any, error) {
+				return qosCell(o, v, seed)
+			},
+		}
+	}
+	vals, err := runCellJobs(o, target, jobs)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]qosOut, len(vals))
+	for i, val := range vals {
+		q, ok := val.(qosOut)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s cell returned %T", target, val)
+		}
+		outs[i] = q
+	}
+	return outs, nil
+}
+
 // qosCell runs one policy variant.
 func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 	sc := qosScenarioFor(v, seed)
@@ -241,7 +257,7 @@ func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 	if err != nil {
 		return qosOut{}, err
 	}
-	extra := make(map[string]float64, 8*len(rep.Tenants))
+	extra := make(map[string]float64, 9*len(rep.Tenants))
 	for _, ten := range rep.Tenants {
 		extra["p50_ns:"+ten.Name] = float64(ten.P50)
 		extra["p95_ns:"+ten.Name] = float64(ten.P95)
@@ -252,6 +268,17 @@ func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 		extra["fill_mbps:"+ten.Name] = ten.QoS.FillMBps(rep.CPU.Elapsed)
 		extra["wb_mbps:"+ten.Name] = ten.QoS.WBMBps(rep.CPU.Elapsed)
 		extra["throttle_ns:"+ten.Name] = float64(ten.QoS.ThrottleNS)
+	}
+	if v.slo != nil {
+		// Controller trajectory: how many reprogrammings it issued and
+		// where the policy ended up. Masks serialize as their numeric
+		// value (0 = full, matching qos.FormatMask's input convention).
+		extra["reconfigs"] = float64(rep.QoSReconfigs)
+		extra["slo_target_p99_ns"] = float64(v.slo.TargetP99)
+		for _, cl := range rep.QoSFinal {
+			extra["final_mask:"+cl.Name] = float64(cl.WayMask)
+			extra["final_mbps:"+cl.Name] = cl.MBps
+		}
 	}
 	return qosOut{
 		variant: v.name,

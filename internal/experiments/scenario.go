@@ -86,13 +86,13 @@ func Replay(o Options) ([]*stats.Table, error) {
 // replayCell runs one workload live, round-trips its streams through
 // the trace container, replays, and verifies bit-for-bit equality.
 func replayCell(o Options, platName, wlName string, seed int64) (replayOut, error) {
-	co := o
-	co.Seed = seed
-	popt := o.applyMSHRs(platform.Options{})
-	live, err := Run(platName, wlName, co, popt, nil)
+	lm, err := matrixCell{platform: platName, workload: wlName}.execute(o, seed)
 	if err != nil {
 		return replayOut{}, err
 	}
+	live := lm.run
+	co := o
+	co.Seed = seed
 	var buf bytes.Buffer
 	steps, err := replay.RecordWorkload(&buf, wlName, co.wl(), replay.AllThreads)
 	if err != nil {
@@ -105,7 +105,7 @@ func replayCell(o Options, platName, wlName string, seed int64) (replayOut, erro
 	rep, err := replay.Run(replay.Scenario{
 		Name:     wlName,
 		Platform: platName,
-		PlatOpts: popt,
+		PlatOpts: o.applyMSHRs(platform.Options{}),
 		Tenants:  []replay.Tenant{{Name: wlName, Trace: f}},
 	}, replay.Options{})
 	if err != nil {

@@ -113,12 +113,12 @@ func RunSweep(o Options, workloads []string, points []SweepPoint) ([]SweepResult
 		return nil, err
 	}
 	out := make([]SweepResult, 0, len(res))
-	for i, r := range res {
+	for i, m := range res {
 		out = append(out, SweepResult{
 			Workload: workloads[i/len(points)],
 			Point:    points[i%len(points)],
-			Run:      r,
-			Core:     r.Plat.(hamsExposer).Controller().Stats(),
+			Run:      m.run,
+			Core:     m.run.Plat.(hamsExposer).Controller().Stats(),
 		})
 	}
 	return out, nil

@@ -11,14 +11,14 @@ import (
 
 // Pool is a long-lived worker pool shared by many concurrent cell
 // batches — the daemon-side counterpart of Engine, which spins up a
-// fresh pool per Run call. hamsd submits every job's cells through one
+// fresh Pool per Run call. hamsd submits every job's cells through one
 // Pool so N simultaneous clients multiplex onto a fixed number of
 // simulator workers instead of oversubscribing the host N-fold.
 //
 // The determinism contract is inherited from the package: a cell's
 // output is a pure function of its inputs, so sharing workers across
 // batches cannot change any batch's results — only their wall times.
-// Each RunCells call keeps Engine's batch semantics (duplicate-key
+// Each RunCells call runs the same batch loop as Engine (duplicate-key
 // rejection, canonical-order results, first error cancels the batch's
 // remaining undispatched cells, a cancelled ctx stops dispatch);
 // batches are isolated: one batch's error or cancellation never
@@ -69,21 +69,13 @@ func (p *Pool) Busy() int { return int(p.busy.Load()) }
 func (p *Pool) Completed() int64 { return p.done.Load() }
 
 // RunCells implements CellRunner on the shared pool: it dispatches the
-// batch to the pool's workers, blocks until every dispatched cell has
-// drained, and returns results in canonical order. Concurrent RunCells
-// calls interleave their cells on the same workers. onResult fires per
-// cell on completion (see CellRunner). Calling RunCells on a closed
-// pool is an error.
+// batch to the pool's workers in input order, blocks until every
+// dispatched cell has drained, and returns results in canonical order.
+// Concurrent RunCells calls interleave their cells on the same workers.
+// Calling RunCells on a closed pool is an error.
 func (p *Pool) RunCells(ctx context.Context, cells []Cell, onResult func(Result)) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
-	}
-	seen := make(map[string]struct{}, len(cells))
-	for _, c := range cells {
-		if _, dup := seen[c.Key]; dup {
-			return nil, fmt.Errorf("runner: duplicate cell key %q", c.Key)
-		}
-		seen[c.Key] = struct{}{}
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -93,7 +85,22 @@ func (p *Pool) RunCells(ctx context.Context, cells []Cell, onResult func(Result)
 	p.subs.Add(1)
 	p.mu.Unlock()
 	defer p.subs.Done()
+	return p.runBatch(ctx, cells, nil, onResult)
+}
 
+// runBatch is the one batch loop behind Engine and Pool: it rejects
+// duplicate keys, offers the cells to the workers in dispatch order
+// (nil = input order), cancels the batch's remaining cells on the
+// first error, fires onResult per completed cell, and returns results
+// in canonical order once every dispatched cell has drained.
+func (p *Pool) runBatch(ctx context.Context, cells []Cell, order []int, onResult func(Result)) ([]Result, error) {
+	seen := make(map[string]struct{}, len(cells))
+	for _, c := range cells {
+		if _, dup := seen[c.Key]; dup {
+			return nil, fmt.Errorf("runner: duplicate cell key %q", c.Key)
+		}
+		seen[c.Key] = struct{}{}
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]Result, len(cells))
@@ -101,17 +108,20 @@ func (p *Pool) RunCells(ctx context.Context, cells []Cell, onResult func(Result)
 	var once sync.Once
 	var firstErr error
 dispatch:
-	for i := range cells {
-		// Poll ctx before offering the cell (same rationale as
-		// Engine.Run: select picks randomly among ready cases, so a
-		// cancelled context could keep losing the coin flip against an
-		// idle worker and leak extra dispatches).
+	for n := range cells {
+		i := n
+		if order != nil {
+			i = order[n]
+		}
+		// Poll ctx before offering the cell: select picks randomly
+		// among ready cases, so without this a cancelled context could
+		// keep losing the coin flip against an idle worker and leak
+		// extra dispatches.
 		select {
 		case <-ctx.Done():
 			break dispatch
 		default:
 		}
-		i := i
 		pending.Add(1)
 		run := func() {
 			defer pending.Done()
@@ -137,10 +147,7 @@ dispatch:
 	if firstErr != nil {
 		return results, firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	return results, ctx.Err()
 }
 
 // Close drains the pool: it refuses new RunCells calls, waits for
